@@ -100,6 +100,8 @@ def read_wav(path) -> AudioBuffer:
         raise FormatError(f"{path}: {exc}") from exc
     except EOFError as exc:
         raise FormatError(f"{path}: truncated file") from exc
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
     if comptype != "NONE":
         raise UnsupportedFormatError(f"{path}: compressed WAV ({comptype}) not supported")
     if channels != 1:

@@ -130,25 +130,28 @@ def cmd_tsvad(args) -> int:
 
     cfg = _load_cfg(args)
     components = _components(args, cfg)
-    buf = read_wav(args.audio)
     file_id = Path(args.audio).stem
-    turns = parse_rttm(Path(args.rttm).read_text(encoding="utf-8"))
-    diar = turns_to_diarization(turns, file_id)
-    if not diar.turns:
-        print(f"no turns for {file_id} in {args.rttm}", file=sys.stderr)
+    try:
+        buf = read_wav(args.audio)
+        turns = parse_rttm(Path(args.rttm).read_text(encoding="utf-8"))
+        diar = turns_to_diarization(turns, file_id)
+        if not diar.turns:
+            raise DiarkitError(f"no turns for {file_id} in {args.rttm}")
+        regions = {s: merge_segments(segs) for s, segs in diar.per_speaker().items()}
+        if args.vad:
+            speech = read_vad_file(args.vad)
+        else:
+            speech = merge_segments([seg for seg, _ in diar.turns])
+        result = run_rounds(
+            buf, regions, components.tsvad_net, components.embedder, speech,
+            threshold=cfg.tsvad_threshold, median_taps=cfg.median_taps,
+            max_rounds=cfg.max_rounds, target_max_s=cfg.target_max_s, recording_id=file_id,
+        )
+        out_path = Path(args.out) if args.out else Path(f"{file_id}.tsvad.rttm")
+        out_path.write_text(emit_rttm(diarization_to_turns(result.diarization)), encoding="utf-8")
+    except (DiarkitError, OSError) as exc:
+        print(f"{file_id}\tERROR\t{exc}", file=sys.stderr)
         return 2
-    regions = {s: merge_segments(segs) for s, segs in diar.per_speaker().items()}
-    if args.vad:
-        speech = read_vad_file(args.vad)
-    else:
-        speech = merge_segments([seg for seg, _ in diar.turns])
-    result = run_rounds(
-        buf, regions, components.tsvad_net, components.embedder, speech,
-        threshold=cfg.tsvad_threshold, median_taps=cfg.median_taps,
-        max_rounds=cfg.max_rounds, target_max_s=cfg.target_max_s, recording_id=file_id,
-    )
-    out_path = Path(args.out) if args.out else Path(f"{file_id}.tsvad.rttm")
-    out_path.write_text(emit_rttm(diarization_to_turns(result.diarization)), encoding="utf-8")
     status = "converged" if result.converged else "round-limit"
     print(f"{file_id}\trounds={result.rounds}\t{status}\t{out_path}")
     if result.warning:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import (
     DegenerateGraphError,
     DivergenceError,
@@ -20,9 +21,6 @@ from .errors import (
 )
 from .segmenter import EmbeddedSegment
 
-AHC_STOP_THRESHOLD = 0.6
-OVERLAP_THRESHOLD = 0.0
-MAX_SPEAKERS = 8
 JACOBI_TOL = 1e-10
 KMEANS_RESTARTS = 20
 
@@ -74,16 +72,6 @@ def v2s_similarity_matrix(xs, scorer) -> np.ndarray:
     for i in range(n):
         rows[i] = scorer.forward(build_v2s_input(x, i))
     return (rows + rows.T) / 2.0
-
-
-def similarity_to_text(s: np.ndarray) -> str:
-    """Plain-text n x n export, row-major, 9 significant digits."""
-    return "\n".join(" ".join(f"{v:.9g}" for v in row) for row in np.asarray(s)) + "\n"
-
-
-def similarity_from_text(text: str) -> np.ndarray:
-    rows = [[float(v) for v in line.split()] for line in text.strip().splitlines()]
-    return np.asarray(rows, dtype=np.float64)
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 100):
@@ -178,7 +166,7 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
 
 def spectral_cluster(
     s: np.ndarray,
-    max_speakers: int = MAX_SPEAKERS,
+    max_speakers: int = PipelineConfig.max_speakers,
     k: int | None = None,
     seed: int = 0,
 ) -> Clustering:
@@ -224,7 +212,9 @@ def spectral_cluster(
     return Clustering(labels, centers)
 
 
-def ahc(segs: list[EmbeddedSegment], stop_threshold: float = AHC_STOP_THRESHOLD) -> Clustering:
+def ahc(
+    segs: list[EmbeddedSegment], stop_threshold: float = PipelineConfig.ahc_stop_threshold
+) -> Clustering:
     """Agglomerate segments bottom-up while the most similar pair of cluster
     centers stays at or above the stop threshold.
 
@@ -282,7 +272,7 @@ def assign_with_overlap(
     segs: list[EmbeddedSegment],
     center_a: np.ndarray,
     center_b: np.ndarray,
-    overlap_threshold: float = OVERLAP_THRESHOLD,
+    overlap_threshold: float = PipelineConfig.overlap_threshold,
 ):
     """Assign each segment to speaker a, speaker b, or both.
 

@@ -23,8 +23,6 @@ class PipelineConfig:
     # segmentation
     ncts_win_s: float = 1.5
     ncts_shift_s: float = 0.25
-    ncts_train_win_s: float = 1.5
-    ncts_train_shift_s: float = 0.75
     cts_win_s: float = 0.5
     cts_shift_s: float = 0.25
     merge_threshold: float = 0.6
@@ -39,10 +37,6 @@ class PipelineConfig:
     median_taps: int = 11
     max_rounds: int = 4
     target_max_s: float = 8.0
-    # training presets (exercised at toy scale only)
-    v2s_lr: float = 0.01
-    v2s_final_lr: float = 0.0001
-    v2s_finetune_epochs: int = 30
     # execution
     seed: int = 0
     workers: int = 1

@@ -6,7 +6,7 @@ class DiarkitError(Exception):
 
 
 class FormatError(DiarkitError):
-    """Malformed file content (WAV header, weight file, RTTM line)."""
+    """Unreadable file, or malformed content (WAV header, weight file, RTTM line)."""
 
 
 class UnsupportedFormatError(DiarkitError):

@@ -109,9 +109,6 @@ class _Params:
             raise ShapeError(f"missing weight {name!r}")
         return self._arrays[name]
 
-    def names(self):
-        return sorted(self._arrays)
-
 
 def _bn(p: _Params, name: str, x: np.ndarray) -> np.ndarray:
     return batch_norm_infer(
@@ -232,6 +229,18 @@ def init_embed_weights(seed: int = 0) -> WeightStore:
     store.put("embed.fc.w", he_uniform(rng, (stat_dim, EMBED_DIM), stat_dim))
     store.put("embed.fc.b", np.zeros(EMBED_DIM, dtype=np.float32))
     return store
+
+
+class NetEmbedder:
+    """Adapter giving the embedding network the buffer-to-vector interface."""
+
+    def __init__(self, net: EmbedNet):
+        self.net = net
+
+    def __call__(self, buf) -> np.ndarray:
+        from .audio import log_mel, mean_normalize
+
+        return self.net.forward(mean_normalize(log_mel(buf, EMBED_BINS)))
 
 
 # ---------------------------------------------------------------------------

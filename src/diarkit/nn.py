@@ -134,8 +134,7 @@ def bilstm_forward(x: np.ndarray, params: Mapping, hidden: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
 
     def p(name):
-        v = params[name] if not hasattr(params, "get64") else params.get64(name)
-        return np.asarray(v, dtype=np.float64)
+        return np.asarray(params[name], dtype=np.float64)
 
     fwd = _lstm_direction(x, p("fw.w_x"), p("fw.w_h"), p("fw.b"), hidden)
     bwd = _lstm_direction(x[::-1], p("bw.w_x"), p("bw.w_h"), p("bw.b"), hidden)[::-1]
@@ -161,8 +160,7 @@ def _attention_forward(x, heads, d_att, params):
     d_head = d_att // heads
 
     def p(name):
-        v = params[name] if not hasattr(params, "get64") else params.get64(name)
-        return np.asarray(v, dtype=np.float64)
+        return np.asarray(params[name], dtype=np.float64)
 
     cache = {"x": x, "heads": []}
     concat = []

@@ -7,13 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer, stft_magnitude
+from .config import PipelineConfig
 from .errors import ParameterError
 
 CTS = "CTS"
 NCTS = "NCTS"
 
-DEFAULT_THRESHOLD = 0.07
-DEFAULT_HORIZON_S = 100.0
 SPLIT_HZ = 4000.0
 
 
@@ -22,15 +21,11 @@ class BandwidthClass:
     value: str
     peak_above_4k: float
 
-    @property
-    def is_cts(self) -> bool:
-        return self.value == CTS
-
 
 def classify_bandwidth(
     buf: AudioBuffer,
-    threshold: float = DEFAULT_THRESHOLD,
-    horizon_s: float = DEFAULT_HORIZON_S,
+    threshold: float = PipelineConfig.bandwidth_threshold,
+    horizon_s: float = PipelineConfig.bandwidth_horizon_s,
 ) -> BandwidthClass:
     """Classify a 16 kHz recording as CTS (telephone) or NCTS.
 

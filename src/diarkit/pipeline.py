@@ -23,7 +23,7 @@ from .clustering import (
     v2s_similarity_matrix,
 )
 from .config import PipelineConfig
-from .errors import ConfigError, DiarkitError, InsufficientSpeakersError
+from .errors import ConfigError, DiarkitError, EmptyInputError, InsufficientSpeakersError
 from .metrics import diarization_to_turns, emit_rttm
 from .partition import classify_bandwidth
 from .segmenter import EmbeddedSegment, recursive_merge, uniform_segments
@@ -76,8 +76,7 @@ def build_stub_components() -> Components:
 
 
 def build_net_components(cfg: PipelineConfig) -> Components:
-    from .models import EmbedNet, TsvadNet, V2sScorer, VadNet
-    from .stubs import NetEmbedder
+    from .models import EmbedNet, NetEmbedder, TsvadNet, V2sScorer, VadNet
     from .weights import load_weights
 
     if not cfg.embed_weights or not cfg.tsvad_weights:
@@ -114,11 +113,17 @@ def speech_regions_for(
 def _embed_segments(
     buf: AudioBuffer, segs: list[Segment], embedder, min_segment_s: float
 ) -> list[EmbeddedSegment]:
+    """Embed each segment of at least `min_segment_s`; a segment the embedder
+    cannot embed (silent, or too few frames) is skipped."""
     out = []
     for seg in segs:
         if seg.duration < min_segment_s - 1e-9:
             continue
-        out.append(EmbeddedSegment(seg, embedder(buf.slice_seconds(seg.start_s, seg.end_s))))
+        try:
+            embedding = embedder(buf.slice_seconds(seg.start_s, seg.end_s))
+        except EmptyInputError:
+            continue
+        out.append(EmbeddedSegment(seg, embedding))
     return out
 
 

@@ -6,15 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import ParameterError
 from .segments import Segment
-
-# Window/shift presets in seconds: (window, shift)
-NCTS_INFERENCE = (1.5, 0.25)
-NCTS_TRAINING = (1.5, 0.75)
-CTS_INFERENCE = (0.5, 0.25)
-
-MERGE_THRESHOLD = 0.6
 
 
 @dataclass
@@ -54,7 +48,7 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def recursive_merge(
-    segs: list[EmbeddedSegment], threshold: float = MERGE_THRESHOLD
+    segs: list[EmbeddedSegment], threshold: float = PipelineConfig.merge_threshold
 ) -> list[EmbeddedSegment]:
     """Repeatedly merge the most-similar consecutive pair above threshold.
 

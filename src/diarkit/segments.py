@@ -6,9 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio import FRAME_SHIFT_S
 from .errors import ParameterError
-
-FRAME_SHIFT_S = 0.010
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,6 @@ def merge_segments(segs: list[Segment], gap_s: float = 0.0) -> list[Segment]:
         else:
             out.append(seg)
     return out
-
-
-def total_duration(segs: list[Segment]) -> float:
-    return sum(s.duration for s in merge_segments(segs))
 
 
 def segments_to_mask(

@@ -12,10 +12,9 @@ import numpy as np
 
 from .audio import FRAME_SHIFT_S, AudioBuffer, frame_count, stft_magnitude
 from .errors import EmptyInputError
+from .models import EMBED_DIM
 from .segments import Segment
 from .vad import SpeechMask
-
-EMBED_DIM = 128
 
 
 def _band_profile(magnitudes: np.ndarray) -> np.ndarray:
@@ -75,18 +74,6 @@ class EnergyVad:
         peak = rms.max()
         probs = (rms >= self.rel_threshold * peak).astype(np.float64) if peak > 0 else np.zeros(n)
         return SpeechMask(probs)
-
-
-class NetEmbedder:
-    """Adapter giving the embedding network the buffer-to-vector interface."""
-
-    def __init__(self, net):
-        self.net = net
-
-    def __call__(self, buf: AudioBuffer) -> np.ndarray:
-        from .audio import log_mel, mean_normalize
-
-        return self.net.forward(mean_normalize(log_mel(buf, 80)))
 
 
 def reference_speech(turns: list[tuple[Segment, str]]) -> list[Segment]:

@@ -14,10 +14,9 @@ import numpy as np
 
 from .audio import AudioBuffer
 from .errors import ParameterError
+from .models import EMBED_DIM
 from .segments import Diarization, Segment
 from .segmenter import EmbeddedSegment
-
-EMBED_DIM = 128
 
 # Per-speaker partial frequencies in Hz; disjoint across speakers and all
 # below 4 kHz so the bandwidth classifier reads the audio as telephone-band.

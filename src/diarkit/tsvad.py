@@ -8,13 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import FRAME_SHIFT_S, AudioBuffer
+from .config import PipelineConfig
 from .errors import EmptyInputError, InsufficientSpeechError, ParameterError
 from .segments import Diarization, Segment, mask_to_segments, merge_segments, segments_to_mask
 
-TSVAD_THRESHOLD = 0.65
-MEDIAN_TAPS = 11
-MAX_ROUNDS = 4
-TARGET_MAX_S = 8.0
 MIN_TARGET_SPEECH_S = 0.25
 
 
@@ -44,12 +41,13 @@ def extract_target_embeddings(
     buf: AudioBuffer,
     speaker_regions: dict[str, list[Segment]],
     embedder,
-    max_s: float = TARGET_MAX_S,
+    max_s: float = PipelineConfig.target_max_s,
 ) -> dict[str, np.ndarray]:
     """Embed up to the first `max_s` seconds of each speaker's speech.
 
     Regions are unioned, concatenated in time order, and truncated at the
-    budget; the result is deterministic for identical regions.
+    budget; the result is deterministic for identical regions. Speech the
+    embedder cannot embed counts as insufficient speech.
     """
     targets: dict[str, np.ndarray] = {}
     for speaker, regions in speaker_regions.items():
@@ -70,7 +68,10 @@ def extract_target_embeddings(
                 break
             pieces.append(buf.samples[lo : lo + take])
         samples = np.concatenate(pieces)
-        targets[speaker] = embedder(AudioBuffer(samples, buf.sample_rate))
+        try:
+            targets[speaker] = embedder(AudioBuffer(samples, buf.sample_rate))
+        except EmptyInputError as exc:
+            raise InsufficientSpeechError(f"speaker {speaker}: {exc}") from exc
     return targets
 
 
@@ -83,7 +84,7 @@ def run_tsvad(net, buf: AudioBuffer, targets: dict[str, np.ndarray]) -> SpeakerT
     return SpeakerTracks(ids, np.asarray(tracks, dtype=np.float64))
 
 
-def median_filter(track: np.ndarray, taps: int = MEDIAN_TAPS) -> np.ndarray:
+def median_filter(track: np.ndarray, taps: int = PipelineConfig.median_taps) -> np.ndarray:
     """Sliding-window median with reflection padding at the edges."""
     if taps % 2 == 0 or taps < 1:
         raise ParameterError(f"median taps must be odd and positive, got {taps}")
@@ -101,8 +102,8 @@ def median_filter(track: np.ndarray, taps: int = MEDIAN_TAPS) -> np.ndarray:
 def postprocess(
     tracks: SpeakerTracks,
     speech: list[Segment],
-    threshold: float = TSVAD_THRESHOLD,
-    median_taps: int = MEDIAN_TAPS,
+    threshold: float = PipelineConfig.tsvad_threshold,
+    median_taps: int = PipelineConfig.median_taps,
     recording_id: str = "rec",
 ) -> Diarization:
     """Median-filter each track, threshold inside speech regions, and fall
@@ -141,10 +142,10 @@ def run_rounds(
     net,
     embedder,
     speech: list[Segment],
-    threshold: float = TSVAD_THRESHOLD,
-    median_taps: int = MEDIAN_TAPS,
-    max_rounds: int = MAX_ROUNDS,
-    target_max_s: float = TARGET_MAX_S,
+    threshold: float = PipelineConfig.tsvad_threshold,
+    median_taps: int = PipelineConfig.median_taps,
+    max_rounds: int = PipelineConfig.max_rounds,
+    target_max_s: float = PipelineConfig.target_max_s,
     recording_id: str = "rec",
 ) -> RoundResult:
     """Iterate target extraction and detection until the diarization stops

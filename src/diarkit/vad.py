@@ -7,15 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import FRAME_SHIFT_S, AudioBuffer, log_mel
+from .config import PipelineConfig
 from .errors import EmptyInputError, ParameterError
+from .models import VAD_BINS
 from .segments import Segment, mask_to_segments
-
-WINDOW_S = 4.0
-SHIFT_S = 2.0
-DECISION_THRESHOLD = 0.5
-MIN_DUR_S = 0.1
-MIN_GAP_S = 0.1
-VAD_BINS = 32
 
 
 @dataclass
@@ -50,8 +45,8 @@ def window_starts(n_frames: int, win_frames: int, shift_frames: int) -> list[int
 def predict_speech(
     net,
     buf: AudioBuffer,
-    window_s: float = WINDOW_S,
-    shift_s: float = SHIFT_S,
+    window_s: float = PipelineConfig.vad_window_s,
+    shift_s: float = PipelineConfig.vad_shift_s,
 ) -> SpeechMask:
     """Average the model's frame predictions over 4 s windows shifted by 2 s."""
     features = log_mel(buf, VAD_BINS)
@@ -74,9 +69,9 @@ def predict_speech(
 
 def binarize(
     mask: SpeechMask,
-    threshold: float = DECISION_THRESHOLD,
-    min_dur_s: float = MIN_DUR_S,
-    min_gap_s: float = MIN_GAP_S,
+    threshold: float = PipelineConfig.vad_threshold,
+    min_dur_s: float = PipelineConfig.vad_min_dur_s,
+    min_gap_s: float = PipelineConfig.vad_min_gap_s,
 ) -> list[Segment]:
     """Threshold the mask, close short gaps, then drop short runs."""
     on = mask.probs >= threshold

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError
 
 MAGIC = b"NNW1"
 
@@ -122,10 +122,3 @@ def load_weights(path) -> WeightStore:
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
     return store
-
-
-def check_shape(store: WeightStore, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    arr = store.get64(name)
-    if arr.shape != shape:
-        raise ShapeError(f"{name}: expected shape {shape}, got {arr.shape}")
-    return arr

@@ -2,14 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from diarkit.cli import main
 from diarkit.config import PipelineConfig
 from diarkit.metrics import compute_der, parse_rttm, turns_to_diarization
-from diarkit.pipeline import TASK1, build_stub_components, run_pipeline
-from diarkit.audio import write_wav
+from diarkit.models import EmbedNet, NetEmbedder, init_embed_weights
+from diarkit.pipeline import TASK1, Components, build_stub_components, run_pipeline
+from diarkit.audio import AudioBuffer, write_wav
+from diarkit.segments import Segment
+from diarkit.stubs import SpectralTsvad, reference_speech
 from diarkit.synth import SynthSpec, gen_audio_conversation
+from diarkit.vad import write_vad_file
 
 
 @pytest.fixture()
@@ -281,3 +286,73 @@ class TestEightKInput:
             parse_rttm((out_dir / "down8k.rttm").read_text()), "down8k"
         )
         assert compute_der(ref, hyp).der < 0.05
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize("command", ["partition", "vad"])
+    def test_missing_file_between_good_files(self, synth_dir, command, capsys):
+        inputs = [
+            str(synth_dir / "synth0003.wav"),
+            str(synth_dir / "missing.wav"),
+            str(synth_dir / "synth0004.wav"),
+        ]
+        stub = ["--stub-embeddings"] if command == "vad" else []
+        assert main([command, *inputs, *stub]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        file_ids = {line.split()[0] for line in lines}
+        assert file_ids == {"synth0003", "synth0004"}
+        if command == "partition":
+            assert len(lines) == 2
+        errors = captured.err.strip().splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("missing") and "No such file" in errors[0]
+
+    def test_tsvad_missing_audio(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "resumed.rttm"
+        code = main(
+            [
+                "tsvad", "--audio", str(tmp_path / "missing.wav"),
+                "--rttm", str(synth_dir / "synth0003.rttm"),
+                "--out", str(out), "--stub-embeddings",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("missing\tERROR\t")
+        assert not out.exists()
+
+
+class TestUnembeddableSegments:
+    def test_silent_region_in_task1_vad(self, tmp_path):
+        # The .vad file also lists 1.5 s of silence, which the stub embedder
+        # cannot embed; the recording still diarizes.
+        spec = SynthSpec(n_speakers=2, duration_s=30, seed=5)
+        buf, ref = gen_audio_conversation(spec, recording_id="call")
+        padded = AudioBuffer(np.concatenate([buf.samples, np.zeros(2 * 16000)]), 16000)
+        write_wav(tmp_path / "call.wav", padded)
+        write_vad_file(
+            tmp_path / "call.vad", reference_speech(ref.turns) + [Segment(30.2, 31.7)]
+        )
+        (result,) = run_pipeline(
+            [tmp_path / "call.wav"], tmp_path / "out", TASK1, build_stub_components(),
+            PipelineConfig(), {"call": tmp_path / "call.vad"},
+        )
+        assert result.status == "ok", result.error
+        assert result.n_speakers == 2
+
+    def test_region_too_short_for_embed_net(self, tmp_path):
+        # 0.25 s passes min_segment_s but gives 23 frames, fewer than the 25
+        # EmbedNet needs; the other region still embeds.
+        noise = np.random.default_rng(0).normal(0.0, 0.4, 3 * 16000)
+        write_wav(tmp_path / "talk.wav", AudioBuffer(np.clip(noise, -1.0, 1.0), 16000))
+        write_vad_file(tmp_path / "talk.vad", [Segment(0.5, 0.75), Segment(1.0, 2.4)])
+        components = Components(NetEmbedder(EmbedNet(init_embed_weights(0))), SpectralTsvad())
+        (result,) = run_pipeline(
+            [tmp_path / "talk.wav"], tmp_path / "out", TASK1, components,
+            PipelineConfig(), {"talk": tmp_path / "talk.vad"},
+        )
+        assert result.status == "ok", result.error
+        assert result.bandwidth == "NCTS"
+        assert (tmp_path / "out" / "talk.rttm").read_text().count("\n") == 1

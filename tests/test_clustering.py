@@ -18,8 +18,6 @@ from diarkit.clustering import (
     kmeans,
     random_rotation,
     select_two_speakers,
-    similarity_from_text,
-    similarity_to_text,
     spectral_cluster,
     train_v2s_toy,
     v2s_pair_accuracy,
@@ -137,12 +135,6 @@ class TestV2sMatrix:
         expected = 1.0 / (1.0 + np.exp(-gram))
         expected = (expected + expected.T) / 2
         np.testing.assert_allclose(s, expected, atol=1e-6)
-
-    def test_text_roundtrip(self):
-        rng = np.random.default_rng(3)
-        s = rng.uniform(0, 1, size=(4, 4))
-        back = similarity_from_text(similarity_to_text(s))
-        np.testing.assert_allclose(back, s, rtol=1e-8)
 
 
 class TestJacobi:

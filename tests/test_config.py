@@ -18,12 +18,8 @@ def test_defaults_are_published_operating_points():
     assert cfg.tsvad_threshold == 0.65
     assert cfg.median_taps == 11
     assert (cfg.ncts_win_s, cfg.ncts_shift_s) == (1.5, 0.25)
-    assert (cfg.ncts_train_win_s, cfg.ncts_train_shift_s) == (1.5, 0.75)
     assert (cfg.cts_win_s, cfg.cts_shift_s) == (0.5, 0.25)
     assert cfg.target_max_s == 8.0
-    assert cfg.v2s_lr == 0.01
-    assert cfg.v2s_final_lr == 0.0001
-    assert cfg.v2s_finetune_epochs == 30
 
 
 def test_file_roundtrip(tmp_path):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from diarkit.audio import AudioBuffer
-from diarkit.errors import InsufficientSpeechError, ParameterError
+from diarkit.errors import EmptyInputError, InsufficientSpeechError, ParameterError
 from diarkit.segments import Segment, segments_to_mask
+from diarkit.stubs import SpectralEmbedder
 from diarkit.tsvad import (
     SpeakerTracks,
     extract_target_embeddings,
@@ -77,6 +78,11 @@ class TestExtractTargets:
             buf, {"a": [Segment(0.0, 2.0), Segment(1.0, 3.0)]}, FirstSampleEmbedder()
         )
         assert targets["a"][1] == pytest.approx(3.0)
+
+    def test_unembeddable_speech_is_insufficient(self):
+        silent = AudioBuffer(np.zeros(4 * 8000), 8000)
+        with pytest.raises(InsufficientSpeechError, match="silent"):
+            extract_target_embeddings(silent, {"a": [Segment(0.0, 2.0)]}, SpectralEmbedder())
 
 
 class TestRunTsvad:
@@ -246,8 +252,35 @@ class KeyedEmbedder:
         return out
 
 
+class SilenceRejectingEmbedder(KeyedEmbedder):
+    def __call__(self, buf):
+        if not buf.samples.any():
+            raise EmptyInputError("silent")
+        return super().__call__(buf)
+
+
 class TestRunRounds:
     rate = 8000
+
+    def test_unembeddable_later_round_keeps_previous(self):
+        # Round 1 moves speaker 2 onto the silent second half, where round 2
+        # cannot embed it; the result is round 1's.
+        buf = AudioBuffer(
+            np.concatenate([np.full(self.rate, 1.0), np.full(self.rate, 2.0), np.zeros(self.rate * 2)]),
+            self.rate,
+        )
+        flags = {
+            1: np.concatenate([np.ones(100), np.zeros(298)]),
+            2: np.concatenate([np.zeros(200), np.ones(198)]),
+        }
+        regions = {"s1": [Segment(0.0, 1.0)], "s2": [Segment(1.0, 2.0)]}
+        result = run_rounds(
+            buf, regions, IdentityRoundNet(flags), SilenceRejectingEmbedder(), [Segment(0.0, 4.0)]
+        )
+        assert result.rounds == 1
+        assert not result.converged
+        assert "silent" in result.warning
+        assert result.diarization.per_speaker()["s2"] == [Segment(2.0, 3.98)]
 
     def test_fixed_point_converges_in_two_rounds(self):
         t_frames = 398  # frames of a 4 s buffer at 8 kHz
