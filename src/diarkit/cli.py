@@ -8,7 +8,9 @@ Subcommands:
   score      DER of hypothesis RTTM against reference (optionally UEM-limited)
   synth      generate tone-coded conversations with references
 
-Exit codes: 0 on success, 2 when any per-file step failed.
+Exit codes: 0 on success, 2 when any per-file step failed or the run could
+not start (a missing config, weight or score input); the latter prints one
+`diarkit <command>: error: <reason>` line to stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import PipelineConfig, load_config, save_config
-from .errors import DiarkitError
+from .errors import ConfigError, DiarkitError
 from .metrics import (
     compute_der,
     emit_rttm,
@@ -32,6 +34,7 @@ from .partition import classify_bandwidth
 from .pipeline import (
     TASK1,
     TASK2,
+    Components,
     build_net_components,
     build_stub_components,
     run_pipeline,
@@ -85,9 +88,17 @@ def cmd_partition(args) -> int:
 
 def cmd_vad(args) -> int:
     from .audio import read_wav
+    from .models import VadNet
+    from .weights import load_weights
 
     cfg = _load_cfg(args)
-    components = _components(args, cfg)
+    if args.stub_embeddings:
+        components = build_stub_components()
+    elif cfg.vad_weights:
+        # VAD reads only the VAD net; the other weight files are not needed.
+        components = Components(None, None, VadNet(load_weights(cfg.vad_weights)))
+    else:
+        raise ConfigError("vad needs vad_weights without --stub-embeddings")
     failed = False
     for path in _wav_inputs(args.inputs):
         try:
@@ -289,7 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DiarkitError, OSError) as exc:
+        print(f"diarkit {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ speaker anchors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,9 +20,10 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .segmenter import EmbeddedSegment
 
-JACOBI_TOL = 1e-10
+if TYPE_CHECKING:  # annotations only: segmenter imports this module
+    from .segmenter import EmbeddedSegment
+
 KMEANS_RESTARTS = 20
 
 
@@ -37,21 +39,23 @@ class Clustering:
         return self.centers.shape[0]
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise NumericError("cosine similarity of a zero vector")
-    return float(a @ b / (na * nb))
-
-
-def cosine_similarity_matrix(embeddings: np.ndarray) -> np.ndarray:
-    x = np.asarray(embeddings, dtype=np.float64)
+def _unit_rows(x) -> np.ndarray:
+    """Rows scaled to unit length: the one normalisation behind every cosine
+    between embeddings. A zero row has no direction and raises."""
+    x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
         raise NumericError("cosine similarity of a zero vector")
-    unit = x / norms[:, None]
+    return x / norms[:, None]
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    ua, ub = _unit_rows([a, b])
+    return float(ua @ ub)
+
+
+def cosine_similarity_matrix(embeddings: np.ndarray) -> np.ndarray:
+    unit = _unit_rows(embeddings)
     return unit @ unit.T
 
 
@@ -72,47 +76,6 @@ def v2s_similarity_matrix(xs, scorer) -> np.ndarray:
     for i in range(n):
         rows[i] = scorer.forward(build_v2s_input(x, i))
     return (rows + rows.T) / 2.0
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). Sweeps stop when
-    the off-diagonal Frobenius norm falls below tol.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2))
-        if off < tol:
-            break
-        skip = off / (n * n)  # rotations below this leave the sweep to later passes
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0 or abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta < 0:
-                    t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    order = np.argsort(a.diagonal(), kind="stable")
-    return a.diagonal()[order].copy(), v[:, order]
 
 
 def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator):
@@ -191,7 +154,7 @@ def spectral_cluster(
         raise DegenerateGraphError("similarity graph has an isolated node")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     laplacian = np.eye(n) - s * np.outer(inv_sqrt, inv_sqrt)
-    eigvals, eigvecs = jacobi_eigh(laplacian)
+    eigvals, eigvecs = np.linalg.eigh(laplacian)
     if k is None:
         limit = min(max_speakers, n - 1)
         if limit < 1:
@@ -218,34 +181,30 @@ def ahc(
     """Agglomerate segments bottom-up while the most similar pair of cluster
     centers stays at or above the stop threshold.
 
-    Centers are the means of member embeddings; ties break to the lowest
-    index pair, which makes the result deterministic.
+    Centers are the means of member embeddings; of the pairs within 1e-12 of
+    the best score the first in row-major order merges, which makes the
+    result deterministic.
     """
     if not segs:
         raise ParameterError("ahc needs at least one segment")
     embeddings = np.stack([e.embedding for e in segs])
     members: list[list[int]] = [[i] for i in range(len(segs))]
-    centers: list[np.ndarray] = [embeddings[i].copy() for i in range(len(segs))]
+    centers = embeddings.copy()
     while len(members) > 1:
-        best_pair, best_sim = None, -np.inf
-        for i in range(len(members) - 1):
-            for j in range(i + 1, len(members)):
-                sim = cosine_similarity(centers[i], centers[j])
-                if sim > best_sim + 1e-12:
-                    best_pair, best_sim = (i, j), sim
-        if best_sim < stop_threshold:
+        rows, cols = np.triu_indices(len(members), 1)
+        sims = cosine_similarity_matrix(centers)[rows, cols]
+        best = int(np.argmax(sims >= sims.max() - 1e-12))
+        if sims[best] < stop_threshold:
             break
-        i, j = best_pair
-        members[i] = members[i] + members[j]
+        i, j = rows[best], cols[best]
+        members[i] += members.pop(j)
         centers[i] = embeddings[members[i]].mean(axis=0)
-        del members[j]
-        del centers[j]
-    order = sorted(range(len(members)), key=lambda c: min(members[c]))
+        centers = np.delete(centers, j, axis=0)
+    # Merging j into i < j keeps the clusters in order of their first member.
     labels = np.empty(len(segs), dtype=int)
-    for new_idx, c in enumerate(order):
-        for item in members[c]:
-            labels[item] = new_idx
-    return Clustering(labels, np.stack([centers[c] for c in order]))
+    for label, items in enumerate(members):
+        labels[items] = label
+    return Clustering(labels, centers)
 
 
 def select_two_speakers(clustering: Clustering, segs: list[EmbeddedSegment]):
@@ -280,19 +239,14 @@ def assign_with_overlap(
     threshold is treated as overlapped speech and added to both speakers;
     otherwise it goes to the more similar center (ties to a).
     """
-    list_a: list[EmbeddedSegment] = []
-    list_b: list[EmbeddedSegment] = []
-    for seg in segs:
-        sim_a = cosine_similarity(seg.embedding, center_a)
-        sim_b = cosine_similarity(seg.embedding, center_b)
-        if min(sim_a, sim_b) > overlap_threshold:
-            list_a.append(seg)
-            list_b.append(seg)
-        elif sim_a >= sim_b:
-            list_a.append(seg)
-        else:
-            list_b.append(seg)
-    return list_a, list_b
+    if not segs:
+        return [], []
+    sims = _unit_rows([s.embedding for s in segs]) @ _unit_rows([center_a, center_b]).T
+    sim_a, sim_b = sims.T
+    both = np.minimum(sim_a, sim_b) > overlap_threshold
+    to_a = both | (sim_a >= sim_b)
+    to_b = both | (sim_a < sim_b)
+    return [s for s, t in zip(segs, to_a) if t], [s for s, t in zip(segs, to_b) if t]
 
 
 def diaconis_augment(

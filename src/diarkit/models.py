@@ -22,6 +22,7 @@ import numpy as np
 from .audio import FeatureMatrix
 from .errors import EmptyInputError, NumericError, ShapeError
 from .nn import (
+    _attention_forward,
     affine,
     batch_norm_infer,
     bilstm_forward,
@@ -31,7 +32,6 @@ from .nn import (
     he_uniform,
     relu,
     sigmoid,
-    softmax_rows,
 )
 from .weights import WeightStore
 
@@ -372,23 +372,14 @@ class V2sScorer:
         if m.ndim != 2 or m.shape[1] != V2S_IN:
             raise ShapeError(f"scorer input must be [n, {V2S_IN}], got {m.shape}")
         p = self.params
-        d_head = V2S_ATT // V2S_HEADS
         h0 = m @ p["fc1.w"] + p["fc1.b"]
-        heads = []
-        parts = []
-        for h in range(V2S_HEADS):
-            q = h0 @ p[f"att.h{h}.wq"]
-            k = h0 @ p[f"att.h{h}.wk"]
-            v = h0 @ p[f"att.h{h}.wv"]
-            att = softmax_rows((q @ k.T) / np.sqrt(d_head))
-            heads.append({"q": q, "k": k, "v": v, "att": att})
-            parts.append(att @ v)
-        c = np.concatenate(parts, axis=1)
-        h1 = c @ p["att.wo"] + p["att.bo"]
+        h1, att = _attention_forward(
+            h0, V2S_HEADS, V2S_ATT, {k[4:]: v for k, v in p.items() if k.startswith("att.")}
+        )
         h2 = h1 @ p["fc2.w"] + p["fc2.b"]
         r = relu(h2)
         z = (r @ p["fc3.w"] + p["fc3.b"])[:, 0]
-        return {"m": m, "h0": h0, "heads": heads, "c": c, "h1": h1, "h2": h2, "r": r,
+        return {"m": m, "h0": h0, "att": att, "h1": h1, "h2": h2, "r": r,
                 "z": z, "prob": sigmoid(z)}
 
     def forward(self, m: np.ndarray) -> np.ndarray:
@@ -421,12 +412,12 @@ class V2sScorer:
         g["fc2.w"] = cache["h1"].T @ dh2
         g["fc2.b"] = dh2.sum(axis=0)
         dh1 = dh2 @ p["fc2.w"].T
-        g["att.wo"] = cache["c"].T @ dh1
+        g["att.wo"] = cache["att"]["concat"].T @ dh1
         g["att.bo"] = dh1.sum(axis=0)
         dc = dh1 @ p["att.wo"].T
         dh0 = np.zeros_like(cache["h0"])
         for h in range(V2S_HEADS):
-            head = cache["heads"][h]
+            head = cache["att"]["heads"][h]
             dpart = dc[:, h * d_head : (h + 1) * d_head]
             datt = dpart @ head["v"].T
             dv = head["att"].T @ dpart

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import clustering
 from .config import PipelineConfig
 from .errors import ParameterError
 from .segments import Segment
@@ -40,13 +41,6 @@ def uniform_segments(speech: list[Segment], win_s: float, shift_s: float) -> lis
     return sorted(out, key=lambda s: (s.start_s, s.end_s))
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 def recursive_merge(
     segs: list[EmbeddedSegment], threshold: float = PipelineConfig.merge_threshold
 ) -> list[EmbeddedSegment]:
@@ -59,7 +53,9 @@ def recursive_merge(
     items = list(segs)
     if len(items) < 2:
         return items
-    sims = [_cosine(a.embedding, b.embedding) for a, b in zip(items, items[1:])]
+    sims = [
+        clustering.cosine_similarity(a.embedding, b.embedding) for a, b in zip(items, items[1:])
+    ]
     while sims:
         best = int(np.argmax(sims))
         if sims[best] <= threshold:
@@ -72,7 +68,9 @@ def recursive_merge(
         items[best : best + 2] = [merged]
         del sims[best]
         if best > 0:
-            sims[best - 1] = _cosine(items[best - 1].embedding, merged.embedding)
+            sims[best - 1] = clustering.cosine_similarity(
+                items[best - 1].embedding, merged.embedding
+            )
         if best < len(sims):
-            sims[best] = _cosine(merged.embedding, items[best + 1].embedding)
+            sims[best] = clustering.cosine_similarity(merged.embedding, items[best + 1].embedding)
     return items

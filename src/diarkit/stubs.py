@@ -47,6 +47,8 @@ class SpectralTsvad:
     def tracks(self, buf: AudioBuffer, targets: list[np.ndarray]) -> np.ndarray:
         spec = stft_magnitude(buf)
         frames = _band_profile(spec.magnitudes)
+        # Not the clustering cosine: silent frames have a zero profile and
+        # must score 0, so the norm is clamped instead of raising.
         norms = np.linalg.norm(frames, axis=1)
         unit = frames / np.maximum(norms, 1e-12)[:, None]
         out = np.empty((len(targets), frames.shape[0]))

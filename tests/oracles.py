@@ -1,12 +1,18 @@
-"""Independent naive-loop reference implementations for the neural layers.
+"""Independent naive-loop reference implementations for the neural layers
+and the clustering kernels.
 
-These deliberately avoid the vectorized code paths in diarkit.nn: explicit
-Python loops, per-element arithmetic, and their own padding bookkeeping.
+These deliberately avoid the vectorized code paths in diarkit.nn and
+diarkit.clustering: explicit Python loops, per-element arithmetic, and their
+own padding bookkeeping. The clustering oracles are the pairwise loops that
+`ahc` and `assign_with_overlap` replaced.
 """
 
 import math
 
 import numpy as np
+
+from diarkit.clustering import Clustering
+from diarkit.errors import NumericError, ParameterError
 
 
 def conv2d_oracle(x, kernel, stride=(1, 1), pad="same"):
@@ -130,3 +136,56 @@ def avg_pool_freq_oracle(x):
         for t in range(t_len):
             out[t, ch] = sum(x[ch, t, j] for j in range(f)) / f
     return out
+
+
+def cosine_oracle(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise NumericError("cosine similarity of a zero vector")
+    return float(a @ b / (na * nb))
+
+
+def ahc_oracle(segs, stop_threshold):
+    if not segs:
+        raise ParameterError("ahc needs at least one segment")
+    embeddings = np.stack([e.embedding for e in segs])
+    members = [[i] for i in range(len(segs))]
+    centers = [embeddings[i].copy() for i in range(len(segs))]
+    while len(members) > 1:
+        best_pair, best_sim = None, -np.inf
+        for i in range(len(members) - 1):
+            for j in range(i + 1, len(members)):
+                sim = cosine_oracle(centers[i], centers[j])
+                if sim > best_sim + 1e-12:
+                    best_pair, best_sim = (i, j), sim
+        if best_sim < stop_threshold:
+            break
+        i, j = best_pair
+        members[i] = members[i] + members[j]
+        centers[i] = embeddings[members[i]].mean(axis=0)
+        del members[j]
+        del centers[j]
+    order = sorted(range(len(members)), key=lambda c: min(members[c]))
+    labels = np.empty(len(segs), dtype=int)
+    for new_idx, c in enumerate(order):
+        for item in members[c]:
+            labels[item] = new_idx
+    return Clustering(labels, np.stack([centers[c] for c in order]))
+
+
+def assign_with_overlap_oracle(segs, center_a, center_b, overlap_threshold):
+    list_a = []
+    list_b = []
+    for seg in segs:
+        sim_a = cosine_oracle(seg.embedding, center_a)
+        sim_b = cosine_oracle(seg.embedding, center_b)
+        if min(sim_a, sim_b) > overlap_threshold:
+            list_a.append(seg)
+            list_b.append(seg)
+        elif sim_a >= sim_b:
+            list_a.append(seg)
+        else:
+            list_b.append(seg)
+    return list_a, list_b

@@ -8,13 +8,14 @@ import pytest
 from diarkit.cli import main
 from diarkit.config import PipelineConfig
 from diarkit.metrics import compute_der, parse_rttm, turns_to_diarization
-from diarkit.models import EmbedNet, NetEmbedder, init_embed_weights
+from diarkit.models import EmbedNet, NetEmbedder, init_embed_weights, init_vad_weights
 from diarkit.pipeline import TASK1, Components, build_stub_components, run_pipeline
 from diarkit.audio import AudioBuffer, write_wav
 from diarkit.segments import Segment
 from diarkit.stubs import SpectralTsvad, reference_speech
 from diarkit.synth import SynthSpec, gen_audio_conversation
 from diarkit.vad import write_vad_file
+from diarkit.weights import save_weights
 
 
 @pytest.fixture()
@@ -150,9 +151,13 @@ class TestDiarizeCommand:
         assert (out_dir / "synth0003.rttm").exists()
         assert not (out_dir / "broken.rttm").exists()
 
-    def test_missing_weights_without_stub_is_config_error(self, synth_dir, tmp_path):
-        with pytest.raises(Exception):
-            main(["diarize", str(synth_dir), "--out-dir", str(tmp_path / "x")])
+    def test_missing_weights_without_stub_is_config_error(self, synth_dir, tmp_path, capsys):
+        assert main(["diarize", str(synth_dir), "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "diarkit diarize: error: "
+            "embed_weights and tsvad_weights are required without --stub-embeddings\n"
+        )
 
 
 class TestWorkerPool:
@@ -322,6 +327,56 @@ class TestMissingInput:
         assert captured.out == ""
         assert captured.err.startswith("missing\tERROR\t")
         assert not out.exists()
+
+
+class TestSetupErrors:
+    """An error before any per-file step gives one stderr line and exit 2."""
+
+    def _single_error_line(self, capsys, command):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.err
+        assert lines[0].startswith(f"diarkit {command}: error: ")
+        return lines[0]
+
+    def test_score_missing_reference(self, synth_dir, tmp_path, capsys):
+        missing = tmp_path / "missing.rttm"
+        assert main(["score", str(missing), str(synth_dir / "synth0003.rttm")]) == 2
+        line = self._single_error_line(capsys, "score")
+        assert "No such file" in line and "missing.rttm" in line
+
+    def test_diarize_missing_config(self, synth_dir, tmp_path, capsys):
+        code = main(
+            [
+                "diarize", str(synth_dir), "--out-dir", str(tmp_path / "out"),
+                "--config", str(tmp_path / "missing.cfg"), "--stub-embeddings",
+            ]
+        )
+        assert code == 2
+        line = self._single_error_line(capsys, "diarize")
+        assert "No such file" in line and "missing.cfg" in line
+
+    def test_vad_needs_only_vad_weights(self, tmp_path, capsys):
+        buf, _ = gen_audio_conversation(SynthSpec(n_speakers=2, duration_s=4.0, seed=7))
+        write_wav(tmp_path / "short.wav", buf)
+        store = init_vad_weights(0)
+        store.put("vad.fc2.b", [20.0])  # every frame scores as speech
+        save_weights(store, tmp_path / "vad.bin")
+        cfg = tmp_path / "vad.cfg"
+        cfg.write_text(f"vad_weights={tmp_path / 'vad.bin'}\n", encoding="utf-8")
+        assert main(["vad", str(tmp_path / "short.wav"), "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines
+        for line in lines:
+            file_id, start, end = line.split()
+            assert file_id == "short" and 0.0 <= float(start) < float(end) <= 4.0
+
+    def test_vad_without_weights(self, synth_dir, capsys):
+        assert main(["vad", str(synth_dir)]) == 2
+        assert "vad_weights" in self._single_error_line(capsys, "vad")
 
 
 class TestUnembeddableSegments:

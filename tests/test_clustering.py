@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarkit.clustering import (
     Clustering,
@@ -14,7 +16,6 @@ from diarkit.clustering import (
     cosine_similarity,
     cosine_similarity_matrix,
     diaconis_augment,
-    jacobi_eigh,
     kmeans,
     random_rotation,
     select_two_speakers,
@@ -33,6 +34,7 @@ from diarkit.models import V2sScorer
 from diarkit.segmenter import EmbeddedSegment
 from diarkit.segments import Segment
 from diarkit.synth import orthonormal_prototypes
+from oracles import ahc_oracle, assign_with_overlap_oracle
 
 
 def emb_seg(start, end, vec):
@@ -43,6 +45,25 @@ def basis(i, dim=128):
     v = np.zeros(dim)
     v[i] = 1.0
     return v
+
+
+@st.composite
+def embedding_streams(draw, max_len=60):
+    """1..max_len embeddings of dimension 4..128 around a few speaker
+    directions; some positions repeat an earlier vector exactly, which gives
+    exact similarity ties."""
+    n = draw(st.integers(1, max_len))
+    dim = draw(st.integers(4, 128))
+    n_distinct = draw(st.integers(1, n))
+    n_speakers = draw(st.integers(1, 8))
+    spread = draw(st.floats(0.01, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    protos = rng.normal(size=(n_speakers, dim))
+    distinct = protos[rng.integers(n_speakers, size=n_distinct)]
+    distinct += spread * rng.normal(size=distinct.shape)
+    picks = np.concatenate([np.arange(n_distinct), rng.integers(n_distinct, size=n - n_distinct)])
+    rng.shuffle(picks)
+    return [emb_seg(i, i + 1, distinct[k]) for i, k in enumerate(picks)]
 
 
 def label_accuracy(pred, truth):
@@ -135,24 +156,6 @@ class TestV2sMatrix:
         expected = 1.0 / (1.0 + np.exp(-gram))
         expected = (expected + expected.T) / 2
         np.testing.assert_allclose(s, expected, atol=1e-6)
-
-
-class TestJacobi:
-    def test_matches_numpy_eigh(self):
-        rng = np.random.default_rng(4)
-        for n in (2, 3, 5, 10, 20):
-            m = rng.normal(size=(n, n))
-            a = (m + m.T) / 2
-            w, v = jacobi_eigh(a)
-            w_np = np.linalg.eigvalsh(a)
-            np.testing.assert_allclose(w, w_np, atol=1e-8)
-            # eigenvector residual: A v = w v
-            np.testing.assert_allclose(a @ v, v * w, atol=1e-8)
-            np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-8)
-
-    def test_diagonal_input(self):
-        w, v = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
 
 
 class TestSpectralCluster:
@@ -265,6 +268,17 @@ class TestAhc:
         with pytest.raises(ParameterError):
             ahc([])
 
+    @given(segs=embedding_streams(), stop=st.floats(-0.5, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pairwise_oracle(self, segs, stop):
+        got, want = ahc(segs, stop), ahc_oracle(segs, stop)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_allclose(got.centers, want.centers, rtol=0, atol=1e-12)
+
+    def test_zero_vector_raises(self):
+        with pytest.raises(NumericError):
+            ahc([emb_seg(0, 1, basis(0)), emb_seg(1, 2, np.zeros(128))])
+
 
 class TestSelectTwoSpeakers:
     def test_duration_ordering(self):
@@ -323,6 +337,27 @@ class TestAssignWithOverlap:
         overlap_ab = {id(s) for s in ab_a} & {id(s) for s in ab_b}
         overlap_ba = {id(s) for s in ba_a} & {id(s) for s in ba_b}
         assert overlap_ab == overlap_ba
+
+    @given(
+        segs=embedding_streams(),
+        picks=st.tuples(st.integers(0, 59), st.integers(0, 59)),
+        threshold=st.floats(-0.5, 0.99),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(self, segs, picks, threshold):
+        # Centers taken from the stream: some segments score 1, and equal
+        # centers tie every segment.
+        a, b = (segs[i % len(segs)].embedding for i in picks)
+        got = assign_with_overlap(segs, a, b, threshold)
+        want = assign_with_overlap_oracle(segs, a, b, threshold)
+        assert [[id(s) for s in side] for side in got] == [[id(s) for s in side] for side in want]
+
+    def test_empty_input(self):
+        assert assign_with_overlap([], basis(0), basis(1)) == ([], [])
+
+    def test_zero_center_raises(self):
+        with pytest.raises(NumericError):
+            assign_with_overlap([emb_seg(0, 1, basis(0))], basis(0), np.zeros(128))
 
 
 class TestDiaconis:

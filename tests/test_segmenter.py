@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diarkit.errors import ParameterError
+from diarkit.errors import NumericError, ParameterError
 from diarkit.segmenter import EmbeddedSegment, recursive_merge, uniform_segments
 from diarkit.segments import Segment
 
@@ -121,3 +121,9 @@ class TestRecursiveMerge:
         assert recursive_merge([]) == []
         single = [emb_seg(0, 1, basis(0))]
         assert recursive_merge(single) == single
+
+    def test_zero_embedding_raises(self):
+        # The shared cosine gives a zero vector no score rather than 0, so the
+        # recording fails here instead of one stage later in AHC.
+        with pytest.raises(NumericError):
+            recursive_merge([emb_seg(0, 1, basis(0)), emb_seg(1, 2, np.zeros(8))])
