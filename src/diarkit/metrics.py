@@ -1,28 +1,29 @@
-"""RTTM/UEM parsing and emission, DER computation with optimal speaker
-mapping, and frame-level VAD accuracy.
+"""RTTM/UEM parsing and emission, and DER with an optimal speaker mapping.
 
-DER follows the standard per-frame accounting: with a one-to-one
-hypothesis-to-reference speaker mapping chosen to maximize matched speaker
-time, each frame contributes
+DER follows the standard accounting: with a one-to-one hypothesis-to-
+reference speaker mapping chosen to maximize matched speaker time, each
+instant contributes
     miss      = max(0, n_ref - n_hyp)
     false al. = max(0, n_hyp - n_ref)
     confusion = min(n_ref, n_hyp) - n_matched
 and every component is normalized by total reference speaker time (overlap
-counted multiply). Frames are 1 ms by default, which reproduces interval
-arithmetic at the precision RTTM carries.
+counted multiply). Every boundary (turns, UEM regions, collar windows) is
+quantised to 1 ms, the precision RTTM carries. The score is then a sweep
+over the elementary intervals between those boundaries, with each
+interval's counts weighted by its length in frames, so time and memory grow
+with the number of turns, not with the recording's length. The mapping is
+the Kuhn–Munkres optimum, with no cap on the number of speakers.
 """
-
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, ParameterError
 from .segments import Diarization, Segment
 
-MAX_MAPPED_SPEAKERS = 8
 FRAME_S = 0.001
 
 
@@ -122,46 +123,78 @@ def parse_uem(text: str) -> dict[str, list[Segment]]:
     return regions
 
 
-def _frame_index(t: float, frame_s: float) -> int:
-    return int(np.floor(t / frame_s + 0.5))
+def _frame_index(t) -> np.ndarray:
+    """Nearest frame boundary of each time in `t`, rounding halves up."""
+    return np.floor(np.asarray(t, dtype=np.float64) / FRAME_S + 0.5).astype(np.int64)
 
 
-def _speaker_frames(
-    diar: Diarization, n_frames: int, frame_s: float
-) -> dict[str, np.ndarray]:
-    masks: dict[str, np.ndarray] = {}
-    for seg, spk in diar.turns:
-        mask = masks.setdefault(spk, np.zeros(n_frames, dtype=bool))
-        lo = _frame_index(seg.start_s, frame_s)
-        hi = min(_frame_index(seg.end_s, frame_s), n_frames)
-        if hi > lo:
-            mask[lo:hi] = True
-    return masks
+def _spans(segs: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end frame indices of `segs`."""
+    bounds = _frame_index([(seg.start_s, seg.end_s) for seg in segs]).reshape(-1, 2)
+    return bounds[:, 0], bounds[:, 1]
 
 
-def _best_mapping(overlap: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
-    """Exhaustive one-to-one assignment maximizing total overlap.
+def _speakers(diar: Diarization) -> tuple[list[str], np.ndarray]:
+    """Speaker names in order of first turn, and each turn's speaker index."""
+    index: dict[str, int] = {}
+    owner = [index.setdefault(spk, len(index)) for _, spk in diar.turns]
+    return list(index), np.array(owner, dtype=np.int64)
 
-    Rows are reference speakers, columns hypothesis speakers; returns the
-    matched frame count and the (ref, hyp) pairs of the best assignment.
+
+def _cover(points: np.ndarray, lo, hi, owner=None, n_owners: int = 1) -> np.ndarray:
+    """[n_owners, m] bool: whether any span [lo, hi) of an owner covers each
+    elementary interval [points[i], points[i + 1]). Every bound is a point,
+    so a span covers whole intervals; overlapping spans count once."""
+    owner = np.zeros(len(lo), dtype=np.int64) if owner is None else owner
+    keep = hi > lo
+    delta = np.zeros((n_owners, len(points)), dtype=np.int32)
+    np.add.at(delta, (owner[keep], np.searchsorted(points, lo[keep])), 1)
+    np.add.at(delta, (owner[keep], np.searchsorted(points, hi[keep])), -1)
+    return np.cumsum(delta[:, :-1], axis=1, dtype=np.int32) > 0
+
+
+def _assign(weight: np.ndarray) -> list[tuple[int, int]]:
+    """Kuhn–Munkres: the one-to-one (row, column) pairs, min(rows, cols) of
+    them, that maximize the total of an integer `weight` matrix.
+
+    Shortest augmenting paths with row and column potentials, one row at a
+    time, O(n² m); the inner loop over columns is vectorised.
     """
-    n_ref, n_hyp = overlap.shape
-    if n_ref == 0 or n_hyp == 0:
-        return 0, []
-    best_total, best_pairs = -1, []
-    if n_hyp <= n_ref:
-        for perm in itertools.permutations(range(n_ref), n_hyp):
-            total = sum(overlap[r, h] for h, r in enumerate(perm))
-            if total > best_total:
-                best_total = total
-                best_pairs = [(r, h) for h, r in enumerate(perm)]
-    else:
-        for perm in itertools.permutations(range(n_hyp), n_ref):
-            total = sum(overlap[r, h] for r, h in enumerate(perm))
-            if total > best_total:
-                best_total = total
-                best_pairs = [(r, h) for r, h in enumerate(perm)]
-    return int(best_total), best_pairs
+    flip = weight.shape[0] > weight.shape[1]
+    cost = -(weight.T if flip else weight).astype(np.int64)
+    n, m = cost.shape
+    if n == 0:
+        return []
+    inf = np.iinfo(np.int64).max
+    u = np.zeros(n + 1, dtype=np.int64)  # row potentials
+    v = np.zeros(m + 1, dtype=np.int64)  # column potentials; column 0 is the root
+    row_of = np.zeros(m + 1, dtype=np.int64)  # 1-based row matched to column, 0 = free
+    way = np.zeros(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        col = 0
+        slack = np.full(m + 1, inf, dtype=np.int64)
+        used = np.zeros(m + 1, dtype=bool)
+        while row_of[col] != 0:
+            used[col] = True
+            row = row_of[col]
+            free = ~used
+            reduced = cost[row - 1] - u[row] - v[1:]
+            better = free[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            way[1:][better] = col
+            nxt = int(np.argmin(np.where(free, slack, inf)))
+            delta = slack[nxt]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+            col = nxt
+        while col:
+            prev = way[col]
+            row_of[col] = row_of[prev]
+            col = prev
+    pairs = [(int(row_of[j]) - 1, j - 1) for j in range(1, m + 1) if row_of[j]]
+    return [(c, r) for r, c in pairs] if flip else pairs
 
 
 def compute_der(
@@ -169,89 +202,64 @@ def compute_der(
     hyp: Diarization,
     collar_s: float = 0.0,
     score_overlap: bool = True,
-    frame_s: float = FRAME_S,
     uem: list[Segment] | None = None,
 ) -> DerReport:
-    """Diarization error rate of `hyp` against `ref` on a common frame grid."""
+    """Diarization error rate of `hyp` against `ref`, by a sweep over the
+    elementary intervals between quantised boundaries."""
     if ref.recording_id != hyp.recording_id:
         raise InputError(
             f"recording mismatch: ref {ref.recording_id!r} vs hyp {hyp.recording_id!r}"
         )
-    end = 0.0
-    for seg, _ in list(ref.turns) + list(hyp.turns):
-        end = max(end, seg.end_s)
-    if uem:
-        end = max(end, max(seg.end_s for seg in uem))
-    n = _frame_index(end, frame_s)
+    if not (math.isfinite(collar_s) and collar_s >= 0.0):
+        raise ParameterError(f"collar must be finite and >= 0, got {collar_s}")
+    ref_lo, ref_hi = _spans([seg for seg, _ in ref.turns])
+    hyp_lo, hyp_hi = _spans([seg for seg, _ in hyp.turns])
+    uem_lo, uem_hi = _spans(uem or [])
+    n = int(np.max(np.concatenate([ref_hi, hyp_hi, uem_hi]), initial=0))
     if n == 0:
         raise InputError("nothing to score: reference and hypothesis are empty")
+    half = int(_frame_index(collar_s))
+    centres = np.concatenate([ref_lo, ref_hi])
+    collar_lo = np.maximum(centres - half, 0)
+    collar_hi = np.minimum(centres + half, n)
 
-    ref_masks = _speaker_frames(ref, n, frame_s)
-    hyp_masks = _speaker_frames(hyp, n, frame_s)
-    if len(ref_masks) > MAX_MAPPED_SPEAKERS or len(hyp_masks) > MAX_MAPPED_SPEAKERS:
-        raise InputError(
-            f"exhaustive mapping supports <= {MAX_MAPPED_SPEAKERS} speakers per side"
-        )
+    points = np.sort(np.concatenate(
+        [[0, n], ref_lo, ref_hi, hyp_lo, hyp_hi, uem_lo, uem_hi, collar_lo, collar_hi]
+    ))
+    # Drop repeats by sort and compare; with numpy 2.4 the first call of
+    # np.unique alone grows the process by about 1.5 MB.
+    points = points[np.diff(points, prepend=-1) > 0]
+    ref_names, ref_owner = _speakers(ref)
+    hyp_names, hyp_owner = _speakers(hyp)
+    ref_on = _cover(points, ref_lo, ref_hi, ref_owner, len(ref_names))
+    hyp_on = _cover(points, hyp_lo, hyp_hi, hyp_owner, len(hyp_names))
 
-    scored = np.ones(n, dtype=bool)
+    scored = ~_cover(points, collar_lo, collar_hi)[0]
     if uem is not None:
-        scored[:] = False
-        for seg in uem:
-            lo = _frame_index(seg.start_s, frame_s)
-            hi = min(_frame_index(seg.end_s, frame_s), n)
-            scored[lo:hi] = True
-    if collar_s > 0.0:
-        half = _frame_index(collar_s, frame_s)
-        for seg, _ in ref.turns:
-            for boundary in (seg.start_s, seg.end_s):
-                center = _frame_index(boundary, frame_s)
-                scored[max(0, center - half) : min(n, center + half)] = False
-
-    ref_stack = (
-        np.stack([m for m in ref_masks.values()]) if ref_masks else np.zeros((0, n), dtype=bool)
-    )
-    hyp_stack = (
-        np.stack([m for m in hyp_masks.values()]) if hyp_masks else np.zeros((0, n), dtype=bool)
-    )
-    ref_stack = ref_stack & scored
-    hyp_stack = hyp_stack & scored
+        scored &= _cover(points, uem_lo, uem_hi)[0]
     if not score_overlap:
-        non_overlap = ref_stack.sum(axis=0) <= 1
-        ref_stack = ref_stack & non_overlap
-        hyp_stack = hyp_stack & non_overlap
+        scored &= ref_on.sum(axis=0) <= 1
+    keep = np.flatnonzero(scored)
+    ref_on, hyp_on = ref_on[:, keep], hyp_on[:, keep]
+    length = np.diff(points)[keep]
 
-    n_ref = ref_stack.sum(axis=0).astype(np.int64)
-    n_hyp = hyp_stack.sum(axis=0).astype(np.int64)
-    overlap = (ref_stack.astype(np.int64) @ hyp_stack.T.astype(np.int64))
-    matched, pairs = _best_mapping(overlap)
-
-    total_ref = int(n_ref.sum())
+    n_ref = ref_on.sum(axis=0)
+    n_hyp = hyp_on.sum(axis=0)
+    total_ref = int(n_ref @ length)
     if total_ref == 0:
         raise InputError("reference has no scored speaker time")
-    miss = int(np.maximum(n_ref - n_hyp, 0).sum())
-    false_alarm = int(np.maximum(n_hyp - n_ref, 0).sum())
-    confusion = int(np.minimum(n_ref, n_hyp).sum()) - matched
+    overlap = (ref_on * length) @ hyp_on.T.astype(np.int64)
+    pairs = _assign(overlap)
+    matched = sum(int(overlap[r, h]) for r, h in pairs)
+    miss = int(np.maximum(n_ref - n_hyp, 0) @ length)
+    false_alarm = int(np.maximum(n_hyp - n_ref, 0) @ length)
+    confusion = int(np.minimum(n_ref, n_hyp) @ length) - matched
 
-    ref_names = list(ref_masks)
-    hyp_names = list(hyp_masks)
-    mapping = {hyp_names[h]: ref_names[r] for r, h in pairs}
-    report = DerReport(
+    return DerReport(
         der=(miss + false_alarm + confusion) / total_ref,
         miss=miss / total_ref,
         false_alarm=false_alarm / total_ref,
         confusion=confusion / total_ref,
-        total_ref_s=total_ref * frame_s,
-        mapping=mapping,
+        total_ref_s=total_ref * FRAME_S,
+        mapping={hyp_names[h]: ref_names[r] for r, h in pairs},
     )
-    return report
-
-
-def vad_frame_accuracy(ref_mask: np.ndarray, hyp_mask: np.ndarray) -> float:
-    """Fraction of frames where the speech/non-speech decision matches."""
-    ref = np.asarray(ref_mask, dtype=np.float64) >= 0.5
-    hyp = np.asarray(hyp_mask, dtype=np.float64) >= 0.5
-    if ref.shape != hyp.shape:
-        raise InputError(f"mask length mismatch: {ref.shape} vs {hyp.shape}")
-    if ref.size == 0:
-        raise InputError("empty masks")
-    return float(np.mean(ref == hyp))

@@ -4,15 +4,22 @@ and the clustering kernels.
 These deliberately avoid the vectorized code paths in diarkit.nn and
 diarkit.clustering: explicit Python loops, per-element arithmetic, and their
 own padding bookkeeping. The clustering oracles are the pairwise loops that
-`ahc` and `assign_with_overlap` replaced.
+`ahc` and `assign_with_overlap` replaced. `compute_der_grid_oracle` is the
+1 ms boolean-grid DER scorer with an exhaustive permutation mapping that the
+interval sweep in `diarkit.metrics.compute_der` replaced.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from diarkit.clustering import Clustering
-from diarkit.errors import NumericError, ParameterError
+from diarkit.errors import InputError, NumericError, ParameterError
+from diarkit.metrics import FRAME_S, DerReport
+from diarkit.segments import Diarization, Segment
+
+MAX_MAPPED_SPEAKERS = 8
 
 
 def conv2d_oracle(x, kernel, stride=(1, 1), pad="same"):
@@ -189,3 +196,159 @@ def assign_with_overlap_oracle(segs, center_a, center_b, overlap_threshold):
         else:
             list_b.append(seg)
     return list_a, list_b
+
+
+def scored_overlap_oracle(ref, hyp, collar_s=0.0, score_overlap=True, uem=None):
+    """{(ref speaker, hyp speaker): scored frames where both speak}, from
+    Python sets of 1 ms frames, independent of both DER scorers."""
+
+    def frame(t):
+        return int(math.floor(t / FRAME_S + 0.5))
+
+    def frames(turns):
+        out = {}
+        for seg, spk in turns:
+            out.setdefault(spk, set()).update(range(frame(seg.start_s), frame(seg.end_s)))
+        return out
+
+    ref_frames, hyp_frames = frames(ref.turns), frames(hyp.turns)
+    uem_frames = frames([(seg, "uem") for seg in uem or []]).get("uem", set())
+    ends = [seg.end_s for seg, _ in ref.turns + hyp.turns] + [seg.end_s for seg in uem or []]
+    n = max(frame(t) for t in ends)
+    scored = set(range(n)) if uem is None else uem_frames
+    half = frame(collar_s) if collar_s > 0.0 else 0
+    for seg, _ in ref.turns:
+        for centre in (frame(seg.start_s), frame(seg.end_s)):
+            scored -= set(range(max(0, centre - half), min(n, centre + half)))
+    if not score_overlap:
+        for a, b in itertools.combinations(ref_frames.values(), 2):
+            scored -= a & b
+    return {
+        (r, h): len(rf & hf & scored)
+        for r, rf in ref_frames.items()
+        for h, hf in hyp_frames.items()
+    }
+
+
+def _frame_index(t: float, frame_s: float) -> int:
+    return int(np.floor(t / frame_s + 0.5))
+
+
+def _speaker_frames(
+    diar: Diarization, n_frames: int, frame_s: float
+) -> dict[str, np.ndarray]:
+    masks: dict[str, np.ndarray] = {}
+    for seg, spk in diar.turns:
+        mask = masks.setdefault(spk, np.zeros(n_frames, dtype=bool))
+        lo = _frame_index(seg.start_s, frame_s)
+        hi = min(_frame_index(seg.end_s, frame_s), n_frames)
+        if hi > lo:
+            mask[lo:hi] = True
+    return masks
+
+
+def _best_mapping(overlap: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
+    """Exhaustive one-to-one assignment maximizing total overlap.
+
+    Rows are reference speakers, columns hypothesis speakers; returns the
+    matched frame count and the (ref, hyp) pairs of the best assignment.
+    """
+    n_ref, n_hyp = overlap.shape
+    if n_ref == 0 or n_hyp == 0:
+        return 0, []
+    best_total, best_pairs = -1, []
+    if n_hyp <= n_ref:
+        for perm in itertools.permutations(range(n_ref), n_hyp):
+            total = sum(overlap[r, h] for h, r in enumerate(perm))
+            if total > best_total:
+                best_total = total
+                best_pairs = [(r, h) for h, r in enumerate(perm)]
+    else:
+        for perm in itertools.permutations(range(n_hyp), n_ref):
+            total = sum(overlap[r, h] for r, h in enumerate(perm))
+            if total > best_total:
+                best_total = total
+                best_pairs = [(r, h) for r, h in enumerate(perm)]
+    return int(best_total), best_pairs
+
+
+def compute_der_grid_oracle(
+    ref: Diarization,
+    hyp: Diarization,
+    collar_s: float = 0.0,
+    score_overlap: bool = True,
+    frame_s: float = FRAME_S,
+    uem: list[Segment] | None = None,
+) -> DerReport:
+    """Diarization error rate of `hyp` against `ref` on a common frame grid."""
+    if ref.recording_id != hyp.recording_id:
+        raise InputError(
+            f"recording mismatch: ref {ref.recording_id!r} vs hyp {hyp.recording_id!r}"
+        )
+    end = 0.0
+    for seg, _ in list(ref.turns) + list(hyp.turns):
+        end = max(end, seg.end_s)
+    if uem:
+        end = max(end, max(seg.end_s for seg in uem))
+    n = _frame_index(end, frame_s)
+    if n == 0:
+        raise InputError("nothing to score: reference and hypothesis are empty")
+
+    ref_masks = _speaker_frames(ref, n, frame_s)
+    hyp_masks = _speaker_frames(hyp, n, frame_s)
+    if len(ref_masks) > MAX_MAPPED_SPEAKERS or len(hyp_masks) > MAX_MAPPED_SPEAKERS:
+        raise InputError(
+            f"exhaustive mapping supports <= {MAX_MAPPED_SPEAKERS} speakers per side"
+        )
+
+    scored = np.ones(n, dtype=bool)
+    if uem is not None:
+        scored[:] = False
+        for seg in uem:
+            lo = _frame_index(seg.start_s, frame_s)
+            hi = min(_frame_index(seg.end_s, frame_s), n)
+            scored[lo:hi] = True
+    if collar_s > 0.0:
+        half = _frame_index(collar_s, frame_s)
+        for seg, _ in ref.turns:
+            for boundary in (seg.start_s, seg.end_s):
+                center = _frame_index(boundary, frame_s)
+                scored[max(0, center - half) : min(n, center + half)] = False
+
+    ref_stack = (
+        np.stack([m for m in ref_masks.values()]) if ref_masks else np.zeros((0, n), dtype=bool)
+    )
+    hyp_stack = (
+        np.stack([m for m in hyp_masks.values()]) if hyp_masks else np.zeros((0, n), dtype=bool)
+    )
+    ref_stack = ref_stack & scored
+    hyp_stack = hyp_stack & scored
+    if not score_overlap:
+        non_overlap = ref_stack.sum(axis=0) <= 1
+        ref_stack = ref_stack & non_overlap
+        hyp_stack = hyp_stack & non_overlap
+
+    n_ref = ref_stack.sum(axis=0).astype(np.int64)
+    n_hyp = hyp_stack.sum(axis=0).astype(np.int64)
+    overlap = (ref_stack.astype(np.int64) @ hyp_stack.T.astype(np.int64))
+    matched, pairs = _best_mapping(overlap)
+
+    total_ref = int(n_ref.sum())
+    if total_ref == 0:
+        raise InputError("reference has no scored speaker time")
+    miss = int(np.maximum(n_ref - n_hyp, 0).sum())
+    false_alarm = int(np.maximum(n_hyp - n_ref, 0).sum())
+    confusion = int(np.minimum(n_ref, n_hyp).sum()) - matched
+
+    ref_names = list(ref_masks)
+    hyp_names = list(hyp_masks)
+    mapping = {hyp_names[h]: ref_names[r] for r, h in pairs}
+    report = DerReport(
+        der=(miss + false_alarm + confusion) / total_ref,
+        miss=miss / total_ref,
+        false_alarm=false_alarm / total_ref,
+        confusion=confusion / total_ref,
+        total_ref_s=total_ref * frame_s,
+        mapping=mapping,
+    )
+    return report

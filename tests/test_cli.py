@@ -7,7 +7,7 @@ import pytest
 
 from diarkit.cli import main
 from diarkit.config import PipelineConfig
-from diarkit.metrics import compute_der, parse_rttm, turns_to_diarization
+from diarkit.metrics import RttmTurn, compute_der, emit_rttm, parse_rttm, turns_to_diarization
 from diarkit.models import EmbedNet, NetEmbedder, init_embed_weights, init_vad_weights
 from diarkit.pipeline import TASK1, Components, build_stub_components, run_pipeline
 from diarkit.audio import AudioBuffer, write_wav
@@ -201,6 +201,31 @@ class TestScoreCommand:
         assert "synth0003: DER" in out
         assert "OVERALL: DER" in out
         assert "%" in out
+
+    @staticmethod
+    def _rttm_pair(tmp_path, n_speakers):
+        """A reference with one 1 s turn per speaker, and the same turns
+        under other labels as the hypothesis."""
+        ref, hyp = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
+        for path, label in ((ref, lambda k: f"s{k}"), (hyp, lambda k: f"h{n_speakers - k}")):
+            turns = [RttmTurn("rec", k, 1.0, label(k)) for k in range(n_speakers)]
+            path.write_text(emit_rttm(turns))
+        return str(ref), str(hyp)
+
+    def test_twelve_speakers(self, tmp_path, capsys):
+        assert main(["score", *self._rttm_pair(tmp_path, 12)]) == 0
+        captured = capsys.readouterr()
+        assert "rec: DER 0.00%" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("collar", ["-1", "nan"])
+    def test_bad_collar_is_an_error(self, tmp_path, capsys, collar):
+        assert main(["score", *self._rttm_pair(tmp_path, 2), "--collar", collar]) == 2
+        captured = capsys.readouterr()
+        assert "DER" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.err
+        assert lines[0].startswith("rec: ERROR collar must be finite and >= 0")
 
 
 class TestTsvadCommand:

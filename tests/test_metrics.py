@@ -1,5 +1,9 @@
-"""RTTM/UEM I/O and DER scoring against hand computations and the
-brute-force oracle."""
+"""RTTM/UEM I/O and DER scoring against hand computations, the
+brute-force oracle and the 1 ms grid scorer the interval sweep replaced."""
+
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,18 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from der_oracle import der_oracle, random_diarization
-from diarkit.errors import FormatError, InputError
+from diarkit.errors import FormatError, InputError, ParameterError
 from diarkit.metrics import (
     RttmTurn,
+    _assign,
     compute_der,
     diarization_to_turns,
     emit_rttm,
     parse_rttm,
     parse_uem,
     turns_to_diarization,
-    vad_frame_accuracy,
 )
 from diarkit.segments import Diarization, Segment
+from oracles import compute_der_grid_oracle, scored_overlap_oracle
 
 
 def diar(recording_id, *turns):
@@ -195,18 +200,220 @@ class TestDiarizationConversion:
         assert turns_to_diarization(turns, "other").turns == []
 
 
-class TestVadAccuracy:
-    def test_identical(self):
-        mask = np.array([1.0, 0.0, 1.0])
-        assert vad_frame_accuracy(mask, mask) == 1.0
+def _pairs(n_rows, n_cols):
+    """Every one-to-one assignment of min(n_rows, n_cols) (row, col) pairs."""
+    if n_rows <= n_cols:
+        for cols in itertools.permutations(range(n_cols), n_rows):
+            yield list(zip(range(n_rows), cols))
+    else:
+        for rows in itertools.permutations(range(n_rows), n_cols):
+            yield list(zip(rows, range(n_cols)))
 
-    def test_complementary(self):
-        a = np.array([1.0, 0.0, 1.0, 0.0])
-        assert vad_frame_accuracy(a, 1.0 - a) == 0.0
 
-    def test_half(self):
-        assert vad_frame_accuracy(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == 0.5
+class TestAssign:
+    """`_assign` (Kuhn–Munkres) against exhaustive search."""
 
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            vad_frame_accuracy(np.ones(3), np.ones(4))
+    @staticmethod
+    def _check(weight):
+        pairs = _assign(weight)
+        n_rows, n_cols = weight.shape
+        assert len(pairs) == min(n_rows, n_cols)
+        assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+        assert all(0 <= r < n_rows and 0 <= c < n_cols for r, c in pairs)
+        best = max(sum(int(weight[r, c]) for r, c in p) for p in _pairs(n_rows, n_cols))
+        assert sum(int(weight[r, c]) for r, c in pairs) == best
+
+    @given(
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.sampled_from([1, 2, 3, 50, 10**9]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exhaustive_search(self, n_rows, n_cols, high, seed):
+        # high = 1 gives all-zero matrices, 2 and 3 give many ties
+        self._check(np.random.default_rng(seed).integers(0, high, size=(n_rows, n_cols)))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3), (7, 7)])
+    def test_all_zero(self, shape):
+        self._check(np.zeros(shape, dtype=np.int64))
+
+    def test_greedy_is_not_optimal(self):
+        # the largest entry (10) is not in the optimum (9 + 8)
+        assert sorted(_assign(np.array([[10, 9], [8, 0]]))) == [(0, 1), (1, 0)]
+
+
+# Boundaries on the ms grid, on the half-ms (x.0005, where rounding ties),
+# and anywhere; durations down to a fraction of a frame, so that a turn can
+# vanish when quantised.
+instants = st.one_of(
+    st.integers(0, 20_000).map(lambda ms: ms / 1000),
+    st.integers(0, 40_000).map(lambda half_ms: half_ms * 0.0005),
+    st.floats(0.0, 20.0, allow_nan=False),
+)
+durations = st.one_of(
+    st.integers(1, 8_000).map(lambda ms: ms / 1000),
+    st.sampled_from([0.0003, 0.0005, 0.0015, 0.1005]),
+    st.floats(1e-4, 8.0),
+)
+
+
+@st.composite
+def diarizations(draw, min_speakers, max_speakers):
+    """Up to 4 turns per speaker; a speaker's own turns may overlap."""
+    turns = []
+    for spk in range(draw(st.integers(min_speakers, max_speakers))):
+        for _ in range(draw(st.integers(1, 4))):
+            start = draw(instants)
+            turns.append((Segment(start, start + draw(durations)), f"s{spk}"))
+    return Diarization("r", draw(st.permutations(turns)))
+
+
+@st.composite
+def uems(draw):
+    """None, or scored regions (possibly none) with gaps between them; the
+    last may end well past the last turn (turns end before 28 s)."""
+    if draw(st.booleans()):
+        return None
+    cuts = sorted(draw(st.lists(st.floats(0.0, 35.0), max_size=8, unique=True)))
+    return [Segment(a, b) for a, b in zip(cuts[::2], cuts[1::2])]
+
+
+class TestMatchesGridScorer:
+    """The interval sweep gives the same integer frame counts as the 1 ms
+    grid it replaced, so every float of the report is identical."""
+
+    @given(
+        diarizations(1, 6),
+        diarizations(0, 6),
+        st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+        st.booleans(),
+        uems(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_identical_to_grid(self, ref, hyp, collar_s, score_overlap, uem):
+        kwargs = dict(collar_s=collar_s, score_overlap=score_overlap, uem=uem)
+        try:
+            want = compute_der_grid_oracle(ref, hyp, **kwargs)
+        except InputError:
+            with pytest.raises(InputError):
+                compute_der(ref, hyp, **kwargs)
+            return
+        got = compute_der(ref, hyp, **kwargs)
+        fields = ("der", "miss", "false_alarm", "confusion", "total_ref_s")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+        # The mapping may differ only where optimal mappings tie.
+        overlap = scored_overlap_oracle(ref, hyp, **kwargs)
+        ref_names = list(dict.fromkeys(spk for _, spk in ref.turns))
+        hyp_names = list(dict.fromkeys(spk for _, spk in hyp.turns))
+        totals = [
+            sum(overlap.get((ref_names[r], hyp_names[h]), 0) for r, h in p)
+            for p in _pairs(len(ref_names), len(hyp_names))
+        ]
+        best = max(totals)
+
+        def matched(report):
+            assert len(report.mapping) == min(len(ref_names), len(hyp_names))
+            return sum(overlap.get((r, h), 0) for h, r in report.mapping.items())
+
+        assert matched(got) == matched(want) == best
+        if totals.count(best) == 1:
+            assert got.mapping == want.mapping
+
+    def test_empty_hypothesis(self):
+        ref = Diarization("r", [(Segment(0.0, 4.0), "a"), (Segment(2.0, 6.0005), "b")])
+        hyp = Diarization("r", [])
+        for kwargs in ({}, {"collar_s": 0.25}, {"score_overlap": False}):
+            got = compute_der(ref, hyp, **kwargs)
+            assert got == compute_der_grid_oracle(ref, hyp, **kwargs)
+            assert got.miss == got.der == 1.0 and got.mapping == {}
+
+
+def _chain(n_speakers, prefix, relabel=lambda k: k):
+    """One 1 s turn per speaker, back to back."""
+    return [(Segment(float(k), k + 1.0), f"{prefix}{relabel(k)}") for k in range(n_speakers)]
+
+
+class TestManySpeakers:
+    """No cap on the number of speakers per side."""
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_relabelled_reference_scores_zero(self, n):
+        perm = np.random.default_rng(n).permutation(n)
+        ref = Diarization("r", _chain(n, "s"))
+        hyp = Diarization("r", _chain(n, "h", lambda k: perm[k]))
+        report = compute_der(ref, hyp, collar_s=0.25)
+        assert report.der == 0.0
+        assert report.mapping == {f"h{perm[k]}": f"s{k}" for k in range(n)}
+
+    def test_twelve_with_two_speakers_merged(self):
+        # s0 and s1 both labelled h0: one of their two seconds is confused
+        ref = Diarization("r", _chain(12, "s"))
+        hyp = Diarization("r", _chain(12, "h", lambda k: max(k - 1, 0)))
+        report = compute_der(ref, hyp)
+        assert report.confusion == report.der == 1000 / 12000
+        assert report.miss == report.false_alarm == 0.0
+        assert report.mapping["h0"] in ("s0", "s1") and len(report.mapping) == 11
+
+    def test_twenty_where_greedy_fails(self):
+        # A = [0, 10) and B = [10, 18) against X = [0, 18) and Y = [0, 9):
+        # A-X 10 s, A-Y 9 s, B-X 8 s. The optimum is A-Y + B-X = 17 s of the
+        # 18 s both sides share, so 1 s is confused; [0, 9) has two
+        # hypothesis speakers over one reference speaker, 9 s false alarm.
+        # The other 18 speakers speak 1 s each, labelled alike on both sides.
+        rest = [(Segment(seg.start_s + 20, seg.end_s + 20), spk) for seg, spk in _chain(18, "s")]
+        ref = Diarization("r", [(Segment(0.0, 10.0), "A"), (Segment(10.0, 18.0), "B")] + rest)
+        hyp = Diarization("r", [(Segment(0.0, 18.0), "X"), (Segment(0.0, 9.0), "Y")] + rest)
+        report = compute_der(ref, hyp)
+        assert report.total_ref_s == 36.0
+        assert report.confusion == 1000 / 36000
+        assert report.false_alarm == 9000 / 36000
+        assert report.miss == 0.0
+        assert report.mapping["X"] == "B" and report.mapping["Y"] == "A"
+
+
+class TestCollarValidation:
+    @pytest.mark.parametrize("collar", [-1.0, -1e-9, math.nan, math.inf])
+    def test_rejects_bad_collar(self, collar):
+        d = diar("r", (0, 10, "a"))
+        with pytest.raises(ParameterError, match="collar"):
+            compute_der(d, d, collar_s=collar)
+
+
+def _long_pair(hours, n_speakers, seed):
+    """A conversation of 1-6 s turns with 15 % overlap, and a hypothesis
+    with jittered boundaries and relabelled speakers."""
+    rng = np.random.default_rng(seed)
+    end_s = hours * 3600.0
+    ref, hyp, t = [], [], 0.0
+    while True:
+        if rng.random() < 0.15:
+            start = max(0.0, t - rng.uniform(0.2, 1.0))
+        else:
+            start = t + rng.uniform(0.0, 0.8)
+        stop = start + rng.uniform(1.0, 6.0)
+        if stop > end_s - 1.0:
+            break
+        spk = int(rng.integers(n_speakers))
+        ref.append((Segment(round(start, 3), round(stop, 3)), f"s{spk}"))
+        a, b = start + rng.normal(0, 0.15), stop + rng.normal(0, 0.15)
+        if a >= 0.0 and b - a > 0.05:
+            hyp.append((Segment(round(a, 3), round(b, 3)), f"h{(spk * 5 + 3) % n_speakers}"))
+        t = stop
+    return Diarization("long", ref), Diarization("long", hyp)
+
+
+def test_memory_stays_small_on_ten_hours():
+    """A dense 1 ms grid of this pair needs several GB; the sweep's memory
+    grows with the number of turns."""
+    ref, hyp = _long_pair(10, 8, seed=4)
+    uem = [Segment(30.0, 15_000.0), Segment(15_060.0, 35_970.0)]
+    tracemalloc.start()
+    try:
+        report = compute_der(ref, hyp, collar_s=0.25, uem=uem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < report.der < 0.5
+    assert peak < 20 * 2**20
