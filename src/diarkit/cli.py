@@ -19,6 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .audio import read_wav, write_wav
 from .config import PipelineConfig, load_config, save_config
 from .errors import ConfigError, DiarkitError
 from .metrics import (
@@ -36,7 +37,9 @@ from .pipeline import (
     TASK2,
     Components,
     build_net_components,
+    build_net_vad,
     build_stub_components,
+    detection_rounds,
     run_pipeline,
     speech_regions_for,
 )
@@ -71,8 +74,6 @@ def _components(args, cfg: PipelineConfig):
 
 
 def cmd_partition(args) -> int:
-    from .audio import read_wav
-
     cfg = _load_cfg(args)
     failed = False
     for path in _wav_inputs(args.inputs):
@@ -87,16 +88,12 @@ def cmd_partition(args) -> int:
 
 
 def cmd_vad(args) -> int:
-    from .audio import read_wav
-    from .models import VadNet
-    from .weights import load_weights
-
     cfg = _load_cfg(args)
     if args.stub_embeddings:
         components = build_stub_components()
     elif cfg.vad_weights:
         # VAD reads only the VAD net; the other weight files are not needed.
-        components = Components(None, None, VadNet(load_weights(cfg.vad_weights)))
+        components = Components(None, None, build_net_vad(cfg))
     else:
         raise ConfigError("vad needs vad_weights without --stub-embeddings")
     failed = False
@@ -135,8 +132,6 @@ def cmd_diarize(args) -> int:
 
 
 def cmd_tsvad(args) -> int:
-    from .audio import read_wav
-    from .tsvad import run_rounds
     from .vad import read_vad_file
 
     cfg = _load_cfg(args)
@@ -153,11 +148,7 @@ def cmd_tsvad(args) -> int:
             speech = read_vad_file(args.vad)
         else:
             speech = merge_segments([seg for seg, _ in diar.turns])
-        result = run_rounds(
-            buf, regions, components.tsvad_net, components.embedder, speech,
-            threshold=cfg.tsvad_threshold, median_taps=cfg.median_taps,
-            max_rounds=cfg.max_rounds, target_max_s=cfg.target_max_s, recording_id=file_id,
-        )
+        result = detection_rounds(buf, regions, speech, components, cfg, file_id)
         out_path = Path(args.out) if args.out else Path(f"{file_id}.tsvad.rttm")
         out_path.write_text(emit_rttm(diarization_to_turns(result.diarization)), encoding="utf-8")
     except (DiarkitError, OSError) as exc:
@@ -200,7 +191,6 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .audio import write_wav
     from .stubs import reference_speech
     from .vad import write_vad_file
 
@@ -235,10 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="diarkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, stub=True):
+    def common(p, models=True):
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, default=None)
-        if stub:
+        if models:
             p.add_argument(
                 "--stub-embeddings", action="store_true",
                 help="use spectral stubs instead of trained weights",
@@ -246,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="classify recordings as CTS/NCTS")
     p.add_argument("inputs", nargs="+", help="wav files or directories")
-    common(p, stub=False)
+    common(p, models=False)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("vad", help="emit speech regions")

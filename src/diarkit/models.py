@@ -220,6 +220,12 @@ class EmbedNet:
         stats = global_stat_pool(maps.transpose(1, 0, 2).reshape(t, c * f))
         return affine(stats, self.p["embed.fc.w"], self.p["embed.fc.b"])
 
+    def __call__(self, buf) -> np.ndarray:
+        """Embedding of a whole buffer, from its mean-normalised log-Mel features."""
+        from .audio import log_mel, mean_normalize  # at call time, so tracing can wrap them
+
+        return self.forward(mean_normalize(log_mel(buf, EMBED_BINS)))
+
 
 def init_embed_weights(seed: int = 0) -> WeightStore:
     rng = np.random.default_rng(seed)
@@ -229,18 +235,6 @@ def init_embed_weights(seed: int = 0) -> WeightStore:
     store.put("embed.fc.w", he_uniform(rng, (stat_dim, EMBED_DIM), stat_dim))
     store.put("embed.fc.b", np.zeros(EMBED_DIM, dtype=np.float32))
     return store
-
-
-class NetEmbedder:
-    """Adapter giving the embedding network the buffer-to-vector interface."""
-
-    def __init__(self, net: EmbedNet):
-        self.net = net
-
-    def __call__(self, buf) -> np.ndarray:
-        from .audio import log_mel, mean_normalize
-
-        return self.net.forward(mean_normalize(log_mel(buf, EMBED_BINS)))
 
 
 # ---------------------------------------------------------------------------

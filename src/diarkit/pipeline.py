@@ -29,7 +29,7 @@ from .partition import classify_bandwidth
 from .segmenter import EmbeddedSegment, recursive_merge, uniform_segments
 from .segments import Diarization, Segment, merge_segments
 from .stubs import EnergyVad, SpectralEmbedder, SpectralTsvad
-from .tsvad import run_rounds
+from .tsvad import RoundResult, run_rounds
 from .vad import binarize, predict_speech, read_vad_file
 
 TASK1 = "task1"  # external speech regions supplied
@@ -38,13 +38,14 @@ TASK2 = "task2"  # internal VAD
 
 @dataclass
 class Components:
-    """Resolved model set; stub components need no weight files."""
+    """Resolved model set, each kind called on an `AudioBuffer`: `embedder(buf)`
+    gives a vector, `vad(buf)` a `SpeechMask`, and `tsvad_net.tracks(buf,
+    targets)` one track per target. `scorer` rates pairs for `similarity=v2s`."""
 
     embedder: object
     tsvad_net: object
-    vad_net: object | None = None
+    vad: object | None = None
     scorer: object | None = None
-    stub: bool = False
 
 
 @dataclass
@@ -66,30 +67,40 @@ class FileResult:
 
 
 def build_stub_components() -> Components:
-    return Components(
-        embedder=SpectralEmbedder(),
-        tsvad_net=SpectralTsvad(),
-        vad_net=EnergyVad(),
-        scorer=None,
-        stub=True,
-    )
+    """Weight-free spectral stand-ins for every component but the scorer."""
+    return Components(SpectralEmbedder(), SpectralTsvad(), EnergyVad())
+
+
+def build_net_vad(cfg: PipelineConfig):
+    """The VAD network from `cfg.vad_weights`, as a `vad(buf) -> SpeechMask`
+    callable that averages it over `cfg`'s sliding windows."""
+    from .models import VadNet
+    from .weights import load_weights
+
+    net = VadNet(load_weights(cfg.vad_weights))
+
+    def vad(buf: AudioBuffer):
+        # Read from this module's globals at each call, so it can be wrapped by name.
+        return predict_speech(net, buf, cfg.vad_window_s, cfg.vad_shift_s)
+
+    return vad
 
 
 def build_net_components(cfg: PipelineConfig) -> Components:
-    from .models import EmbedNet, NetEmbedder, TsvadNet, V2sScorer, VadNet
+    from .models import EmbedNet, TsvadNet, V2sScorer
     from .weights import load_weights
 
     if not cfg.embed_weights or not cfg.tsvad_weights:
         raise ConfigError(
             "embed_weights and tsvad_weights are required without --stub-embeddings"
         )
-    embedder = NetEmbedder(EmbedNet(load_weights(cfg.embed_weights)))
+    embedder = EmbedNet(load_weights(cfg.embed_weights))
     tsvad_net = TsvadNet(load_weights(cfg.tsvad_weights))
-    vad_net = VadNet(load_weights(cfg.vad_weights)) if cfg.vad_weights else None
+    vad = build_net_vad(cfg) if cfg.vad_weights else None
     scorer = (
         V2sScorer.from_store(load_weights(cfg.v2s_weights)) if cfg.v2s_weights else None
     )
-    return Components(embedder, tsvad_net, vad_net, scorer)
+    return Components(embedder, tsvad_net, vad, scorer)
 
 
 def speech_regions_for(
@@ -99,15 +110,11 @@ def speech_regions_for(
         if vad_path is None:
             raise ConfigError("task1 needs an external VAD file per recording")
         return read_vad_file(vad_path)
-    if components.stub:
-        mask = components.vad_net.predict(buf)
-    else:
-        if components.vad_net is None:
-            raise ConfigError("task2 needs vad_weights (or stub components)")
-        mask = predict_speech(
-            components.vad_net, buf, cfg.vad_window_s, cfg.vad_shift_s
-        )
-    return binarize(mask, cfg.vad_threshold, cfg.vad_min_dur_s, cfg.vad_min_gap_s)
+    if components.vad is None:
+        raise ConfigError("task2 needs vad_weights (or stub components)")
+    return binarize(
+        components.vad(buf), cfg.vad_threshold, cfg.vad_min_dur_s, cfg.vad_min_gap_s
+    )
 
 
 def _embed_segments(
@@ -159,6 +166,24 @@ def cluster_two_speakers(
     return {s: merge_segments(r) for s, r in regions.items()}
 
 
+def _narrowband(buf: AudioBuffer) -> AudioBuffer:
+    """The narrowband path runs at 8 kHz: a 16 kHz buffer is downsampled."""
+    return resample_to_8k(buf) if buf.sample_rate == 16000 else buf
+
+
+def detection_rounds(
+    buf: AudioBuffer, regions: dict[str, list[Segment]], speech: list[Segment],
+    components: Components, cfg: PipelineConfig, recording_id: str,
+) -> RoundResult:
+    """Target-speaker detection rounds from initial per-speaker regions, at
+    8 kHz and at `cfg`'s operating points."""
+    return run_rounds(
+        _narrowband(buf), regions, components.tsvad_net, components.embedder, speech,
+        threshold=cfg.tsvad_threshold, median_taps=cfg.median_taps,
+        max_rounds=cfg.max_rounds, target_max_s=cfg.target_max_s, recording_id=recording_id,
+    )
+
+
 def diarize_cts(
     buf: AudioBuffer,
     speech: list[Segment],
@@ -168,23 +193,11 @@ def diarize_cts(
 ) -> tuple[Diarization, int, str]:
     """Narrowband path: downsample if needed, cluster into two speakers, then
     iterate target-speaker detection rounds."""
-    if buf.sample_rate == 16000:
-        buf = resample_to_8k(buf)
+    buf = _narrowband(buf)
     regions = cluster_two_speakers(buf, speech, components, cfg)
     if regions is None:
         return _single_speaker_fallback(recording_id, speech), 0, "single cluster"
-    result = run_rounds(
-        buf,
-        regions,
-        components.tsvad_net,
-        components.embedder,
-        speech,
-        threshold=cfg.tsvad_threshold,
-        median_taps=cfg.median_taps,
-        max_rounds=cfg.max_rounds,
-        target_max_s=cfg.target_max_s,
-        recording_id=recording_id,
-    )
+    result = detection_rounds(buf, regions, speech, components, cfg, recording_id)
     return result.diarization, result.rounds, result.warning or ""
 
 
@@ -197,6 +210,8 @@ def diarize_ncts(
 ) -> Diarization:
     """Wideband path: uniform segmentation, pair similarity, spectral
     clustering with eigengap speaker-count selection."""
+    if cfg.similarity == "v2s" and components.scorer is None:
+        raise ConfigError("similarity=v2s needs v2s_weights")
     segs = uniform_segments(speech, cfg.ncts_win_s, cfg.ncts_shift_s)
     embedded = _embed_segments(buf, segs, components.embedder, cfg.min_segment_s)
     if not embedded:
@@ -204,7 +219,7 @@ def diarize_ncts(
     if len(embedded) == 1:
         return Diarization(recording_id, [(embedded[0].segment, "spk0")])
     xs = np.stack([e.embedding for e in embedded])
-    if cfg.similarity == "v2s" and components.scorer is not None:
+    if cfg.similarity == "v2s":
         sim = v2s_similarity_matrix(xs, components.scorer)
     else:
         sim = np.clip(cosine_similarity_matrix(xs), 0.0, None)

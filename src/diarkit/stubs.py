@@ -16,6 +16,8 @@ from .models import EMBED_DIM
 from .segments import Segment
 from .vad import SpeechMask
 
+ENERGY_REL_THRESHOLD = 0.1
+
 
 def _band_profile(magnitudes: np.ndarray) -> np.ndarray:
     """Fold an nfft/2+1 magnitude row (or rows) into 128 bands, minus the
@@ -62,10 +64,7 @@ class SpectralTsvad:
 class EnergyVad:
     """Frame RMS threshold relative to the loudest frame."""
 
-    def __init__(self, rel_threshold: float = 0.1):
-        self.rel_threshold = rel_threshold
-
-    def predict(self, buf: AudioBuffer) -> SpeechMask:
+    def __call__(self, buf: AudioBuffer) -> SpeechMask:
         frame_len = int(round(0.025 * buf.sample_rate))
         hop = int(round(FRAME_SHIFT_S * buf.sample_rate))
         n = frame_count(buf.samples.size, buf.sample_rate)
@@ -74,7 +73,7 @@ class EnergyVad:
         windows = np.lib.stride_tricks.sliding_window_view(buf.samples, frame_len)[::hop][:n]
         rms = np.sqrt(np.mean(windows**2, axis=1))
         peak = rms.max()
-        probs = (rms >= self.rel_threshold * peak).astype(np.float64) if peak > 0 else np.zeros(n)
+        probs = (rms >= ENERGY_REL_THRESHOLD * peak).astype(np.float64) if peak > 0 else np.zeros(n)
         return SpeechMask(probs)
 
 

@@ -8,7 +8,7 @@ import pytest
 from diarkit.cli import main
 from diarkit.config import PipelineConfig
 from diarkit.metrics import RttmTurn, compute_der, emit_rttm, parse_rttm, turns_to_diarization
-from diarkit.models import EmbedNet, NetEmbedder, init_embed_weights, init_vad_weights
+from diarkit.models import EmbedNet, init_embed_weights, init_vad_weights
 from diarkit.pipeline import TASK1, Components, build_stub_components, run_pipeline
 from diarkit.audio import AudioBuffer, write_wav
 from diarkit.segments import Segment
@@ -109,7 +109,7 @@ class TestDiarizeCommand:
         vad_dir = tmp_path / "vad"
         vad_dir.mkdir()
         for wav in sorted(synth_dir.glob("*.wav")):
-            mask = EnergyVad().predict(read_wav(wav))
+            mask = EnergyVad()(read_wav(wav))
             write_vad_file(vad_dir / f"{wav.stem}.vad", binarize(mask))
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         main(["diarize", str(synth_dir), "--out-dir", str(out1), "--mode", "task2",
@@ -245,6 +245,37 @@ class TestTsvadCommand:
         ref = turns_to_diarization(parse_rttm(rttm.read_text()), "synth0003")
         assert compute_der(ref, hyp).der < 0.05
 
+    def test_runs_at_8k_like_diarize(self, tmp_path):
+        # On this noisy call, detection at 16 kHz gives another RTTM.
+        from diarkit.audio import read_wav, resample_to_8k
+        from diarkit.metrics import diarization_to_turns
+        from diarkit.segments import merge_segments
+        from diarkit.stubs import SpectralEmbedder
+        from diarkit.tsvad import run_rounds
+        from diarkit.vad import read_vad_file
+
+        assert main(
+            [
+                "synth", "--out-dir", str(tmp_path), "--duration", "15",
+                "--overlap", "0.3", "--noise", "0.3", "--seed", "5",
+            ]
+        ) == 0
+        wav, rttm, vad = (tmp_path / f"synth0005.{ext}" for ext in ("wav", "rttm", "vad"))
+        out = tmp_path / "resumed.rttm"
+        assert main(
+            [
+                "tsvad", "--audio", str(wav), "--rttm", str(rttm), "--vad", str(vad),
+                "--out", str(out), "--stub-embeddings",
+            ]
+        ) == 0
+        diar = turns_to_diarization(parse_rttm(rttm.read_text()), "synth0005")
+        regions = {s: merge_segments(segs) for s, segs in diar.per_speaker().items()}
+        result = run_rounds(
+            resample_to_8k(read_wav(wav)), regions, SpectralTsvad(), SpectralEmbedder(),
+            read_vad_file(vad), recording_id="synth0005",
+        )
+        assert out.read_text() == emit_rttm(diarization_to_turns(result.diarization))
+
 
 class TestVadCommand:
     def test_stub_vad_regions(self, synth_dir, capsys):
@@ -286,6 +317,27 @@ class TestNctsPath:
             parse_rttm((out_dir / "wideband.rttm").read_text()), "wideband"
         )
         assert compute_der(ref, hyp).der < 0.15
+
+    def test_v2s_without_scorer_is_an_error(self, tmp_path):
+        from diarkit.stubs import reference_speech
+
+        spec = SynthSpec(n_speakers=4, duration_s=20, noise_sigma=0.4, seed=22)
+        buf, ref = gen_audio_conversation(spec, recording_id="talk")
+        write_wav(tmp_path / "talk.wav", buf)
+        write_vad_file(tmp_path / "talk.vad", reference_speech(ref.turns))
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "diarize", str(tmp_path / "talk.wav"), "--out-dir", str(out_dir),
+                "--mode", "task1", "--vad-dir", str(tmp_path), "--stub-embeddings",
+                "--similarity", "v2s",
+            ]
+        )
+        assert code == 2
+        entry = json.loads((out_dir / "report.jsonl").read_text())
+        assert entry["bandwidth"] == "NCTS"
+        assert entry["status"] == "error" and "v2s_weights" in entry["error"]
+        assert not (out_dir / "talk.rttm").exists()
 
 
 class TestEightKInput:
@@ -428,7 +480,7 @@ class TestUnembeddableSegments:
         noise = np.random.default_rng(0).normal(0.0, 0.4, 3 * 16000)
         write_wav(tmp_path / "talk.wav", AudioBuffer(np.clip(noise, -1.0, 1.0), 16000))
         write_vad_file(tmp_path / "talk.vad", [Segment(0.5, 0.75), Segment(1.0, 2.4)])
-        components = Components(NetEmbedder(EmbedNet(init_embed_weights(0))), SpectralTsvad())
+        components = Components(EmbedNet(init_embed_weights(0)), SpectralTsvad())
         (result,) = run_pipeline(
             [tmp_path / "talk.wav"], tmp_path / "out", TASK1, components,
             PipelineConfig(), {"talk": tmp_path / "talk.vad"},

@@ -148,3 +148,42 @@ class TestVadFiles:
 
         with pytest.raises(ParameterError):
             read_vad_file(path)
+
+
+class TestNetVadThroughPipeline:
+    """The benchmark traces the net VAD by wrapping the name
+    `diarkit.pipeline.predict_speech`, so the task-2 path must call it there."""
+
+    def test_calls_predict_speech_through_pipeline(self, tmp_path, monkeypatch):
+        from diarkit import pipeline
+        from diarkit.config import PipelineConfig
+        from diarkit.models import VadNet, init_vad_weights
+        from diarkit.synth import SynthSpec, gen_audio_conversation
+        from diarkit.weights import load_weights, save_weights
+
+        save_weights(init_vad_weights(0), tmp_path / "vad.bin")
+        # Seed-0 random weights score frames between 0.34 and 0.51.
+        cfg = PipelineConfig(
+            vad_weights=str(tmp_path / "vad.bin"),
+            vad_window_s=2.0,
+            vad_shift_s=1.0,
+            vad_threshold=0.41,
+        )
+        components = pipeline.Components(None, None, pipeline.build_net_vad(cfg))
+        buf, _ = gen_audio_conversation(SynthSpec(n_speakers=2, duration_s=6.0, seed=3))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2:])
+            return predict_speech(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "predict_speech", counting)
+        regions = pipeline.speech_regions_for(buf, pipeline.TASK2, None, components, cfg)
+        assert calls == [(cfg.vad_window_s, cfg.vad_shift_s)]
+        mask = predict_speech(
+            VadNet(load_weights(tmp_path / "vad.bin")), buf, cfg.vad_window_s, cfg.vad_shift_s
+        )
+        assert 1 < len(regions)
+        assert regions == binarize(
+            mask, cfg.vad_threshold, cfg.vad_min_dur_s, cfg.vad_min_gap_s
+        )
