@@ -74,8 +74,6 @@ class FeatureMatrix:
     """Log-Mel energies, frames x bins, on the 25 ms / 10 ms grid."""
 
     data: np.ndarray
-    frame_shift_s: float = FRAME_SHIFT_S
-    frame_len_s: float = FRAME_LEN_S
 
     @property
     def n_frames(self) -> int:
@@ -124,51 +122,41 @@ def write_wav(path, buf: AudioBuffer) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def _decimation_filter(taps: int = DECIMATION_TAPS) -> np.ndarray:
-    n = np.arange(taps) - (taps - 1) / 2
-    fc = DECIMATION_CUTOFF_HZ / 16000.0
-    h = 2 * fc * np.sinc(2 * fc * n) * np.hamming(taps)
-    return h / h.sum()
-
-
 def resample_to_8k(buf: AudioBuffer) -> AudioBuffer:
     """Decimate 16 kHz audio by 2 after an anti-alias low-pass."""
     if buf.sample_rate != 16000:
         raise ParameterError(f"expected 16 kHz input, got {buf.sample_rate}")
     if buf.samples.size == 0:
         return AudioBuffer(np.zeros(0), 8000)
-    h = _decimation_filter()
-    filtered = np.convolve(buf.samples, h, mode="full")
-    delay = (len(h) - 1) // 2
+    n = np.arange(DECIMATION_TAPS) - (DECIMATION_TAPS - 1) / 2
+    fc = DECIMATION_CUTOFF_HZ / 16000.0
+    h = 2 * fc * np.sinc(2 * fc * n) * np.hamming(DECIMATION_TAPS)
+    filtered = np.convolve(buf.samples, h / h.sum(), mode="full")
+    delay = (DECIMATION_TAPS - 1) // 2
     filtered = filtered[delay : delay + buf.samples.size]
     return AudioBuffer(filtered[::2], 8000)
 
 
-def _frame_signal(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    if samples.size < frame_len:
+def frame_signal(buf: AudioBuffer) -> np.ndarray:
+    """The buffer's 25 ms frames every 10 ms, as a read-only [frames, samples]
+    view; a trailing part shorter than a frame is dropped."""
+    frame_len = int(round(FRAME_LEN_S * buf.sample_rate))
+    if buf.samples.size < frame_len:
         raise EmptyInputError(
-            f"buffer of {samples.size} samples shorter than one frame ({frame_len})"
+            f"buffer of {buf.samples.size} samples shorter than one frame ({frame_len})"
         )
-    n_frames = (samples.size - frame_len) // hop + 1
-    view = np.lib.stride_tricks.sliding_window_view(samples, frame_len)
-    return view[:: hop][:n_frames]
+    hop = int(round(FRAME_SHIFT_S * buf.sample_rate))
+    return np.lib.stride_tricks.sliding_window_view(buf.samples, frame_len)[::hop]
 
 
-def stft_magnitude(
-    buf: AudioBuffer,
-    frame_len_s: float = FRAME_LEN_S,
-    hop_s: float = FRAME_SHIFT_S,
-    nfft: int = NFFT,
-) -> Spectrogram:
+def stft_magnitude(buf: AudioBuffer) -> Spectrogram:
     """Hann-windowed magnitude STFT normalized by the window sum."""
-    frame_len = int(round(frame_len_s * buf.sample_rate))
-    hop = int(round(hop_s * buf.sample_rate))
-    if frame_len > nfft:
-        raise ParameterError(f"frame length {frame_len} exceeds nfft {nfft}")
-    frames = _frame_signal(buf.samples, frame_len, hop)
-    window = np.hanning(frame_len)
-    mags = np.abs(np.fft.rfft(frames * window, n=nfft, axis=1)) / window.sum()
-    return Spectrogram(mags, bin_hz=buf.sample_rate / nfft)
+    frames = frame_signal(buf)
+    if frames.shape[1] > NFFT:
+        raise ParameterError(f"frame length {frames.shape[1]} exceeds nfft {NFFT}")
+    window = np.hanning(frames.shape[1])
+    mags = np.abs(np.fft.rfft(frames * window, n=NFFT, axis=1)) / window.sum()
+    return Spectrogram(mags, bin_hz=buf.sample_rate / NFFT)
 
 
 def mel_filterbank(n_mels: int, nfft: int, sample_rate: int) -> np.ndarray:
@@ -207,13 +195,4 @@ def mean_normalize(f: FeatureMatrix) -> FeatureMatrix:
     """Subtract the per-bin mean over frames."""
     if f.n_frames < 1:
         raise EmptyInputError("feature matrix has no frames")
-    return FeatureMatrix(f.data - f.data.mean(axis=0), f.frame_shift_s, f.frame_len_s)
-
-
-def frame_count(n_samples: int, sample_rate: int) -> int:
-    """Number of 25 ms / 10 ms frames for a buffer of n_samples."""
-    frame_len = int(round(FRAME_LEN_S * sample_rate))
-    hop = int(round(FRAME_SHIFT_S * sample_rate))
-    if n_samples < frame_len:
-        return 0
-    return (n_samples - frame_len) // hop + 1
+    return FeatureMatrix(f.data - f.data.mean(axis=0))

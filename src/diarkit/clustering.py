@@ -107,9 +107,9 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator):
     return labels, inertia
 
 
-def kmeans(x: np.ndarray, k: int, restarts: int = KMEANS_RESTARTS, seed: int = 0) -> np.ndarray:
+def kmeans(x: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         labels, inertia = _kmeans_once(x, k, np.random.default_rng(seed + r))
         if inertia < best_inertia - 1e-12:
             best_labels, best_inertia = labels, inertia
@@ -130,16 +130,15 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
 def spectral_cluster(
     s: np.ndarray,
     max_speakers: int = PipelineConfig.max_speakers,
-    k: int | None = None,
     seed: int = 0,
 ) -> Clustering:
     """Normalized-Laplacian spectral clustering with eigengap count selection.
 
     The input must be symmetric with non-negative entries (cosine inputs are
-    clipped at zero upstream). When k is not given it is chosen as the argmax
-    of the gaps between consecutive ascending Laplacian eigenvalues, over
-    1..max_speakers. Rows of the k leading eigenvectors are length-normalized
-    and clustered by seeded k-means (best inertia over restarts).
+    clipped at zero upstream). The cluster count k is the argmax of the gaps
+    between consecutive ascending Laplacian eigenvalues, over 1..max_speakers.
+    Rows of the k leading eigenvectors are length-normalized and clustered by
+    seeded k-means (best inertia over restarts).
     """
     s = np.asarray(s, dtype=np.float64)
     n = s.shape[0]
@@ -155,15 +154,12 @@ def spectral_cluster(
     inv_sqrt = 1.0 / np.sqrt(degrees)
     laplacian = np.eye(n) - s * np.outer(inv_sqrt, inv_sqrt)
     eigvals, eigvecs = np.linalg.eigh(laplacian)
-    if k is None:
-        limit = min(max_speakers, n - 1)
-        if limit < 1:
-            k = 1
-        else:
-            gaps = eigvals[1 : limit + 1] - eigvals[:limit]
-            k = int(np.argmax(gaps)) + 1
-    if not 1 <= k <= n:
-        raise ParameterError(f"cluster count {k} outside 1..{n}")
+    limit = min(max_speakers, n - 1)
+    if limit < 1:
+        k = 1
+    else:
+        gaps = eigvals[1 : limit + 1] - eigvals[:limit]
+        k = int(np.argmax(gaps)) + 1
     rows = eigvecs[:, :k]
     norms = np.linalg.norm(rows, axis=1)
     rows = rows / np.maximum(norms, 1e-12)[:, None]
@@ -247,26 +243,6 @@ def assign_with_overlap(
     to_a = both | (sim_a >= sim_b)
     to_b = both | (sim_a < sim_b)
     return [s for s, t in zip(segs, to_a) if t], [s for s, t in zip(segs, to_b) if t]
-
-
-def diaconis_augment(
-    xs: list[np.ndarray] | np.ndarray, seed: int, prob: float = 0.5
-) -> np.ndarray:
-    """With the given probability, apply one shared random rotation to every
-    embedding in the sequence (pairwise cosine similarities are unchanged)."""
-    x = np.asarray(xs, dtype=np.float64)
-    if x.size == 0:
-        raise ParameterError("empty embedding sequence")
-    rng = np.random.default_rng(seed)
-    if rng.random() >= prob:
-        return x.copy()
-    return x @ random_rotation(x.shape[1], rng)
-
-
-def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random orthogonal matrix: QR of a Gaussian with sign-fixed R."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diagonal(r))
 
 
 def train_v2s_toy(scorer, dataset, lr: float = 0.01, epochs: int = 200):

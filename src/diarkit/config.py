@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .audio import FRAME_SHIFT_S
 from .errors import ConfigError
 
 
@@ -46,6 +47,14 @@ class PipelineConfig:
     v2s_weights: str = ""
 
     def validate(self) -> None:
+        for name in ("cts_win_s", "cts_shift_s", "ncts_win_s", "ncts_shift_s"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        for name in ("vad_window_s", "vad_shift_s"):  # slid in whole 10 ms frames
+            value = getattr(self, name)
+            if not value >= FRAME_SHIFT_S:
+                raise ConfigError(f"{name} must be >= {FRAME_SHIFT_S} (one frame), got {value}")
         if self.median_taps % 2 == 0 or self.median_taps < 1:
             raise ConfigError(f"median_taps must be odd, got {self.median_taps}")
         if self.similarity not in ("cosine", "v2s"):

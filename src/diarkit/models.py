@@ -1,5 +1,5 @@
 """Network assemblies: VAD, speaker embedding, attentive pair scoring, and
-target-speaker detection, plus the margin-logit classifier head.
+target-speaker detection.
 
 Architecture conventions (the cited designs leave these open; they are fixed
 here so weight files are reproducible):
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import FeatureMatrix
-from .errors import EmptyInputError, NumericError, ShapeError
+from .errors import EmptyInputError, ShapeError
 from .nn import (
     _attention_forward,
     affine,
@@ -53,9 +53,7 @@ V2S_FC1 = 256
 V2S_HEADS = 2
 V2S_ATT = 128
 V2S_FC2 = 1024
-
-ARCFACE_SCALE = 32.0
-ARCFACE_MARGIN = 0.2
+V2S_PREFIX = "v2s"
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +255,6 @@ class TsvadNet:
         flat = maps.transpose(1, 0, 2).reshape(t, c * f)
         return affine(flat, self.p["tsvad.id_fc.w"], self.p["tsvad.id_fc.b"])
 
-    def forward(self, features: FeatureMatrix, target: np.ndarray) -> np.ndarray:
-        identity = self.identity_frames(features)
-        return self.detect(identity, target)
-
     def detect(self, identity: np.ndarray, target: np.ndarray) -> np.ndarray:
         target = np.asarray(target, dtype=np.float64)
         if target.shape != (EMBED_DIM,):
@@ -290,17 +284,6 @@ def init_tsvad_weights(seed: int = 0) -> WeightStore:
     store.put("tsvad.fc.w", he_uniform(rng, (2 * TSVAD_LSTM_HIDDEN, 1), 2 * TSVAD_LSTM_HIDDEN))
     store.put("tsvad.fc.b", np.zeros(1, dtype=np.float32))
     return store
-
-
-def copy_embed_resnet_to_tsvad(embed_store: WeightStore, tsvad_store: WeightStore) -> int:
-    """Copy the embedding front-end parameters into the detector's identity
-    extractor (name-for-name under the respective resnet prefixes)."""
-    copied = 0
-    for name in embed_store.names():
-        if name.startswith("embed.resnet."):
-            tsvad_store.put("tsvad.resnet." + name[len("embed.resnet.") :], embed_store.get(name))
-            copied += 1
-    return copied
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +334,14 @@ class V2sScorer:
         return cls(p)
 
     @classmethod
-    def from_store(cls, store: WeightStore, prefix: str = "v2s") -> "V2sScorer":
-        sub = store.subset(prefix)
-        return cls({n: sub.get64(n) for n in cls.PARAM_NAMES})
+    def from_store(cls, store: WeightStore) -> "V2sScorer":
+        """The scorer from the entries under `v2s.`; a missing one raises
+        ShapeError."""
+        sub = store.subset(V2S_PREFIX)
+        return cls({n: sub.get(n) for n in sub.names()})
 
-    def to_store(self, prefix: str = "v2s") -> WeightStore:
-        store = WeightStore()
-        for name, value in self.params.items():
-            store.put(f"{prefix}.{name}", value)
-        return store
+    def to_store(self) -> WeightStore:
+        return WeightStore({f"{V2S_PREFIX}.{n}": v for n, v in self.params.items()})
 
     def _forward(self, m: np.ndarray) -> dict:
         m = np.asarray(m, dtype=np.float64)
@@ -430,32 +412,3 @@ class V2sScorer:
     def apply_grads(self, grads: dict[str, np.ndarray], lr: float) -> None:
         for name, grad in grads.items():
             self.params[name] -= lr * grad
-
-
-# ---------------------------------------------------------------------------
-# Margin-logit classifier head
-
-
-def arcface_logits(
-    embedding: np.ndarray,
-    class_weights: np.ndarray,
-    label: int,
-    s: float = ARCFACE_SCALE,
-    m: float = ARCFACE_MARGIN,
-) -> np.ndarray:
-    """Angular-margin logits: s*cos(theta_k), with s*cos(theta+m) at the label."""
-    e = np.asarray(embedding, dtype=np.float64)
-    w = np.asarray(class_weights, dtype=np.float64)
-    if e.ndim != 1 or w.ndim != 2 or w.shape[1] != e.shape[0]:
-        raise ShapeError(f"arcface: embedding {e.shape} vs class weights {w.shape}")
-    if not 0 <= label < w.shape[0]:
-        raise ShapeError(f"label {label} outside 0..{w.shape[0] - 1}")
-    e_norm = np.linalg.norm(e)
-    w_norms = np.linalg.norm(w, axis=1)
-    if e_norm == 0.0 or np.any(w_norms == 0.0):
-        raise NumericError("arcface: zero vector cannot be normalized")
-    cos = np.clip((w @ e) / (w_norms * e_norm), -1.0, 1.0)
-    logits = s * cos
-    theta = np.arccos(cos[label])
-    logits[label] = s * np.cos(theta + m)
-    return logits

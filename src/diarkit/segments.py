@@ -66,15 +66,15 @@ class Diarization:
                     )
 
 
-def merge_segments(segs: list[Segment], gap_s: float = 0.0) -> list[Segment]:
-    """Union overlapping (or near-touching, within gap_s) segments."""
+def merge_segments(segs: list[Segment]) -> list[Segment]:
+    """Union overlapping or touching segments."""
     if not segs:
         return []
     ordered = sorted(segs, key=lambda s: (s.start_s, s.end_s))
     out = [ordered[0]]
     for seg in ordered[1:]:
         last = out[-1]
-        if seg.start_s <= last.end_s + gap_s:
+        if seg.start_s <= last.end_s:
             if seg.end_s > last.end_s:
                 out[-1] = Segment(last.start_s, seg.end_s)
         else:
@@ -82,14 +82,13 @@ def merge_segments(segs: list[Segment], gap_s: float = 0.0) -> list[Segment]:
     return out
 
 
-def segments_to_mask(
-    segs: list[Segment], n_frames: int, frame_shift_s: float = FRAME_SHIFT_S
-) -> np.ndarray:
-    """Boolean frame mask; frame i is on iff its start time lies in a segment."""
+def segments_to_mask(segs: list[Segment], n_frames: int) -> np.ndarray:
+    """Boolean mask on the 10 ms grid; frame i is on iff its start time lies
+    in a segment."""
     mask = np.zeros(n_frames, dtype=bool)
     for seg in segs:
-        lo = int(np.ceil(seg.start_s / frame_shift_s - 1e-9))
-        hi = int(np.ceil(seg.end_s / frame_shift_s - 1e-9))
+        lo = int(np.ceil(seg.start_s / FRAME_SHIFT_S - 1e-9))
+        hi = int(np.ceil(seg.end_s / FRAME_SHIFT_S - 1e-9))
         lo = max(lo, 0)
         hi = min(hi, n_frames)
         if hi > lo:
@@ -97,13 +96,11 @@ def segments_to_mask(
     return mask
 
 
-def mask_to_segments(
-    mask: np.ndarray, frame_shift_s: float = FRAME_SHIFT_S
-) -> list[Segment]:
-    """Convert a boolean frame mask into sorted disjoint segments."""
+def mask_to_segments(mask: np.ndarray) -> list[Segment]:
+    """Convert a boolean mask on the 10 ms grid into sorted disjoint segments."""
     mask = np.asarray(mask, dtype=bool)
     edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(np.int8), [0]])))
     return [
-        Segment(lo * frame_shift_s, hi * frame_shift_s)
+        Segment(lo * FRAME_SHIFT_S, hi * FRAME_SHIFT_S)
         for lo, hi in zip(edges[::2], edges[1::2])
     ]

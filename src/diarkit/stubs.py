@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .audio import FRAME_SHIFT_S, AudioBuffer, frame_count, stft_magnitude
+from .audio import AudioBuffer, frame_signal, stft_magnitude
 from .errors import EmptyInputError
 from .models import EMBED_DIM
 from .segments import Segment
@@ -65,16 +65,10 @@ class EnergyVad:
     """Frame RMS threshold relative to the loudest frame."""
 
     def __call__(self, buf: AudioBuffer) -> SpeechMask:
-        frame_len = int(round(0.025 * buf.sample_rate))
-        hop = int(round(FRAME_SHIFT_S * buf.sample_rate))
-        n = frame_count(buf.samples.size, buf.sample_rate)
-        if n < 1:
-            raise EmptyInputError("audio shorter than one frame")
-        windows = np.lib.stride_tricks.sliding_window_view(buf.samples, frame_len)[::hop][:n]
-        rms = np.sqrt(np.mean(windows**2, axis=1))
+        rms = np.sqrt(np.mean(frame_signal(buf) ** 2, axis=1))
         peak = rms.max()
-        probs = (rms >= ENERGY_REL_THRESHOLD * peak).astype(np.float64) if peak > 0 else np.zeros(n)
-        return SpeechMask(probs)
+        # Every frame of a silent buffer reaches 0.1 x 0, yet none is speech.
+        return SpeechMask((rms >= ENERGY_REL_THRESHOLD * peak) & (peak > 0))
 
 
 def reference_speech(turns: list[tuple[Segment, str]]) -> list[Segment]:

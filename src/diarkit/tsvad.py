@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import FRAME_SHIFT_S, AudioBuffer
+from .audio import AudioBuffer
 from .config import PipelineConfig
 from .errors import EmptyInputError, InsufficientSpeechError, ParameterError
 from .segments import Diarization, Segment, mask_to_segments, merge_segments, segments_to_mask
@@ -20,8 +20,7 @@ class SpeakerTracks:
     """Per-speaker frame probability tracks of equal length."""
 
     speaker_ids: list[str]
-    tracks: np.ndarray  # [n_speakers, n_frames]
-    frame_shift_s: float = FRAME_SHIFT_S
+    tracks: np.ndarray  # [n_speakers, n_frames] on the 10 ms grid
 
     @property
     def n_frames(self) -> int:
@@ -113,9 +112,7 @@ def postprocess(
     assigned to the same speaker merge into segments.
     """
     filtered = np.stack([median_filter(t, median_taps) for t in tracks.tracks])
-    n = tracks.n_frames
-    hop = tracks.frame_shift_s
-    speech_mask = segments_to_mask(speech, n, hop)
+    speech_mask = segments_to_mask(speech, tracks.n_frames)
     assigned = filtered >= threshold
     none_hit = ~assigned.any(axis=0)
     argmax = filtered.argmax(axis=0)  # ties resolve to the lower speaker index
@@ -123,17 +120,10 @@ def postprocess(
     assigned &= speech_mask[None, :]
     turns: list[tuple[Segment, str]] = []
     for row, speaker in enumerate(tracks.speaker_ids):
-        for seg in mask_to_segments(assigned[row], hop):
+        for seg in mask_to_segments(assigned[row]):
             turns.append((seg, speaker))
     turns.sort(key=lambda t: (t[0].start_s, t[1]))
     return Diarization(recording_id, turns)
-
-
-def _assignment_matrix(diar: Diarization, speakers: list[str], n_frames: int, hop: float) -> np.ndarray:
-    per = diar.per_speaker()
-    return np.stack(
-        [segments_to_mask(per.get(s, []), n_frames, hop) for s in speakers]
-    )
 
 
 def run_rounds(
@@ -149,7 +139,9 @@ def run_rounds(
     recording_id: str = "rec",
 ) -> RoundResult:
     """Iterate target extraction and detection until the diarization stops
-    changing frame-for-frame, or the round budget runs out.
+    changing, or the round budget runs out. For a fixed speaker order the
+    turns are a one-to-one function of the frame assignment, so equal turns
+    mean the frame-for-frame fixed point.
 
     A round that leaves any speaker without speech falls back to the previous
     round's result with a warning instead of failing.
@@ -159,9 +151,7 @@ def run_rounds(
     speakers = list(initial_regions)
     regions = initial_regions
     previous: Diarization | None = None
-    prev_matrix: np.ndarray | None = None
     history: list[Diarization] = []
-    n_frames = 0
     for rounds in range(1, max_rounds + 1):
         try:
             targets = extract_target_embeddings(buf, regions, embedder, target_max_s)
@@ -170,7 +160,6 @@ def run_rounds(
                 raise
             return RoundResult(previous, rounds - 1, False, warning=str(exc), history=history)
         tracks = run_tsvad(net, buf, targets)
-        n_frames = tracks.n_frames
         diar = postprocess(tracks, speech, threshold, median_taps, recording_id)
         history.append(diar)
         per = diar.per_speaker()
@@ -183,9 +172,8 @@ def run_rounds(
                 warning=f"round {rounds} emptied speakers {empty}; kept round {rounds - 1}",
                 history=history,
             )
-        matrix = _assignment_matrix(diar, speakers, n_frames, tracks.frame_shift_s)
-        if prev_matrix is not None and np.array_equal(matrix, prev_matrix):
+        if previous is not None and diar.turns == previous.turns:
             return RoundResult(diar, rounds, True, history=history)
-        previous, prev_matrix = diar, matrix
+        previous = diar
         regions = {s: per[s] for s in speakers}
     return RoundResult(previous, max_rounds, False, history=history)

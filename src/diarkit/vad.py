@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import FRAME_SHIFT_S, AudioBuffer, log_mel
+from .audio import FRAME_SHIFT_S, AudioBuffer, FeatureMatrix, log_mel
 from .config import PipelineConfig
-from .errors import EmptyInputError, ParameterError
+from .errors import ParameterError
 from .models import VAD_BINS
 from .segments import Segment, mask_to_segments
 
@@ -18,7 +18,6 @@ class SpeechMask:
     """Per-frame speech probability on the 10 ms grid."""
 
     probs: np.ndarray
-    frame_shift_s: float = FRAME_SHIFT_S
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -51,20 +50,16 @@ def predict_speech(
     """Average the model's frame predictions over 4 s windows shifted by 2 s."""
     features = log_mel(buf, VAD_BINS)
     n = features.n_frames
-    if n < 1:
-        raise EmptyInputError("audio shorter than one feature frame")
-    win = int(round(window_s / features.frame_shift_s))
-    shift = int(round(shift_s / features.frame_shift_s))
+    win = int(round(window_s / FRAME_SHIFT_S))
+    shift = int(round(shift_s / FRAME_SHIFT_S))
     acc = np.zeros(n)
     count = np.zeros(n)
-    from .audio import FeatureMatrix
-
     for start in window_starts(n, win, shift):
         stop = min(start + win, n)
         probs = net.forward(FeatureMatrix(features.data[start:stop]))
         acc[start:stop] += probs
         count[start:stop] += 1.0
-    return SpeechMask(acc / count, features.frame_shift_s)
+    return SpeechMask(acc / count)
 
 
 def binarize(
@@ -74,9 +69,7 @@ def binarize(
     min_gap_s: float = PipelineConfig.vad_min_gap_s,
 ) -> list[Segment]:
     """Threshold the mask, close short gaps, then drop short runs."""
-    on = mask.probs >= threshold
-    hop = mask.frame_shift_s
-    segs = mask_to_segments(on, hop)
+    segs = mask_to_segments(mask.probs >= threshold)
     merged: list[Segment] = []
     for seg in segs:
         if merged and seg.start_s - merged[-1].end_s < min_gap_s - 1e-9:
@@ -89,18 +82,19 @@ def binarize(
 def read_vad_file(path) -> list[Segment]:
     """Parse `<start> <end>` lines (seconds) into sorted segments."""
     segs = []
-    for lineno, line in enumerate(open(path, encoding="utf-8"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParameterError(f"{path}:{lineno}: expected '<start> <end>', got {line!r}")
-        try:
-            start, end = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ParameterError(f"{path}:{lineno}: non-numeric time") from exc
-        segs.append(Segment(start, end))
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParameterError(f"{path}:{lineno}: expected '<start> <end>', got {line!r}")
+            try:
+                start, end = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise ParameterError(f"{path}:{lineno}: non-numeric time") from exc
+            segs.append(Segment(start, end))
     return sorted(segs, key=lambda s: s.start_s)
 
 

@@ -75,10 +75,6 @@ class WeightStore:
             {n[cut:]: v for n, v in self._entries.items() if n.startswith(prefix + ".")}
         )
 
-    def merge(self, other: "WeightStore", prefix: str = "") -> None:
-        for name in other.names():
-            self.put(f"{prefix}.{name}" if prefix else name, other.get(name))
-
 
 def save_weights(store: WeightStore, path) -> None:
     names = store.names()
@@ -112,7 +108,12 @@ def load_weights(path) -> WeightStore:
     store = WeightStore()
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: entry name at byte {pos - name_len} is not valid UTF-8"
+            ) from exc
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         size = int(np.prod(dims, dtype=np.int64)) if rank else 1

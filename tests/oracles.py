@@ -4,7 +4,9 @@ and the clustering kernels.
 These deliberately avoid the vectorized code paths in diarkit.nn and
 diarkit.clustering: explicit Python loops, per-element arithmetic, and their
 own padding bookkeeping. The clustering oracles are the pairwise loops that
-`ahc` and `assign_with_overlap` replaced. `compute_der_grid_oracle` is the
+`ahc` and `assign_with_overlap` replaced. `assignment_matrix_oracle` is the
+frame matrix that `run_rounds` once rebuilt to test convergence, where it
+now compares turns. `compute_der_grid_oracle` is the
 1 ms boolean-grid DER scorer with an exhaustive permutation mapping that the
 interval sweep in `diarkit.metrics.compute_der` replaced.
 """
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+from diarkit.audio import FRAME_SHIFT_S
 from diarkit.clustering import Clustering
 from diarkit.errors import InputError, NumericError, ParameterError
 from diarkit.metrics import FRAME_S, DerReport
@@ -180,6 +183,18 @@ def ahc_oracle(segs, stop_threshold):
         for item in members[c]:
             labels[item] = new_idx
     return Clustering(labels, np.stack([centers[c] for c in order]))
+
+
+def assignment_matrix_oracle(diar, speakers, n_frames):
+    """Speakers x frames booleans: frame i of a speaker's row is on iff its
+    start, i * 10 ms, lies in one of that speaker's turns."""
+    out = np.zeros((len(speakers), n_frames), dtype=bool)
+    for seg, spk in diar.turns:
+        row = speakers.index(spk)
+        for i in range(n_frames):
+            if seg.start_s / FRAME_SHIFT_S - 1e-9 <= i < seg.end_s / FRAME_SHIFT_S - 1e-9:
+                out[row, i] = True
+    return out
 
 
 def assign_with_overlap_oracle(segs, center_a, center_b, overlap_threshold):

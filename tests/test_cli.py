@@ -8,14 +8,14 @@ import pytest
 from diarkit.cli import main
 from diarkit.config import PipelineConfig
 from diarkit.metrics import RttmTurn, compute_der, emit_rttm, parse_rttm, turns_to_diarization
-from diarkit.models import EmbedNet, init_embed_weights, init_vad_weights
+from diarkit.models import EmbedNet, V2sScorer, init_embed_weights, init_vad_weights
 from diarkit.pipeline import TASK1, Components, build_stub_components, run_pipeline
 from diarkit.audio import AudioBuffer, write_wav
 from diarkit.segments import Segment
 from diarkit.stubs import SpectralTsvad, reference_speech
 from diarkit.synth import SynthSpec, gen_audio_conversation
 from diarkit.vad import write_vad_file
-from diarkit.weights import save_weights
+from diarkit.weights import WeightStore, save_weights
 
 
 @pytest.fixture()
@@ -454,6 +454,44 @@ class TestSetupErrors:
     def test_vad_without_weights(self, synth_dir, capsys):
         assert main(["vad", str(synth_dir)]) == 2
         assert "vad_weights" in self._single_error_line(capsys, "vad")
+
+    def _vad_run(self, tmp_path, config: str) -> int:
+        buf, _ = gen_audio_conversation(SynthSpec(n_speakers=2, duration_s=6.0, seed=7))
+        write_wav(tmp_path / "call.wav", buf)
+        cfg = tmp_path / "vad.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        return main(["vad", str(tmp_path / "call.wav"), "--config", str(cfg)])
+
+    def test_vad_shift_zero(self, tmp_path, capsys):
+        save_weights(init_vad_weights(0), tmp_path / "vad.bin")
+        config = f"vad_weights={tmp_path / 'vad.bin'}\nvad_shift_s=0\n"
+        assert self._vad_run(tmp_path, config) == 2
+        assert "vad_shift_s" in self._single_error_line(capsys, "vad")
+
+    def test_weight_name_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "vad.bin"
+        save_weights(WeightStore({"w": np.ones(1)}), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:12] + b"\xff" + data[13:])  # the one-byte name "w"
+        assert self._vad_run(tmp_path, f"vad_weights={path}\n") == 2
+        line = self._single_error_line(capsys, "vad")
+        assert "vad.bin" in line and "byte 12" in line
+
+    def test_v2s_weights_missing_a_parameter(self, synth_dir, tmp_path, capsys):
+        # The nets are built lazily, so a one-entry store stands in for each.
+        save_weights(WeightStore({"x": np.ones(1)}), tmp_path / "net.bin")
+        scorer = V2sScorer.init(0).to_store()
+        partial = WeightStore({n: scorer.get(n) for n in scorer.names() if n != "v2s.fc3.b"})
+        save_weights(partial, tmp_path / "v2s.bin")
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(
+            f"embed_weights={tmp_path / 'net.bin'}\ntsvad_weights={tmp_path / 'net.bin'}\n"
+            f"v2s_weights={tmp_path / 'v2s.bin'}\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        assert main(["diarize", str(synth_dir), "--out-dir", str(out_dir), "--config", str(cfg)]) == 2
+        assert "fc3.b" in self._single_error_line(capsys, "diarize")
 
 
 class TestUnembeddableSegments:

@@ -15,9 +15,7 @@ from diarkit.clustering import (
     build_v2s_input,
     cosine_similarity,
     cosine_similarity_matrix,
-    diaconis_augment,
     kmeans,
-    random_rotation,
     select_two_speakers,
     spectral_cluster,
     train_v2s_toy,
@@ -175,11 +173,6 @@ class TestSpectralCluster:
         clustering = spectral_cluster(s)
         assert clustering.n_clusters == 2
         assert label_accuracy(clustering.labels, truth) == 1.0
-
-    def test_forced_k_one(self):
-        s, _ = self.block_matrix([3, 4])
-        clustering = spectral_cluster(s, k=1)
-        np.testing.assert_array_equal(clustering.labels, 0)
 
     def test_permutation_invariance(self):
         s, truth = self.block_matrix([3, 3, 2])
@@ -358,35 +351,6 @@ class TestAssignWithOverlap:
     def test_zero_center_raises(self):
         with pytest.raises(NumericError):
             assign_with_overlap([emb_seg(0, 1, basis(0))], basis(0), np.zeros(128))
-
-
-class TestDiaconis:
-    def test_pairwise_cosines_preserved(self):
-        rng = np.random.default_rng(11)
-        xs = rng.normal(size=(8, 128))
-        rotated = diaconis_augment(xs, seed=1, prob=1.0)
-        assert not np.allclose(rotated, xs)
-        np.testing.assert_allclose(
-            cosine_similarity_matrix(rotated), cosine_similarity_matrix(xs), atol=1e-10
-        )
-
-    def test_prob_zero_identity(self):
-        rng = np.random.default_rng(12)
-        xs = rng.normal(size=(4, 128))
-        np.testing.assert_array_equal(diaconis_augment(xs, seed=0, prob=0.0), xs)
-
-    def test_rotation_orthogonality_residual(self):
-        r = random_rotation(128, np.random.default_rng(13))
-        assert np.max(np.abs(r.T @ r - np.eye(128))) < 1e-10
-
-    def test_downstream_similarity_invariance(self):
-        rng = np.random.default_rng(14)
-        protos = orthonormal_prototypes(3, 128, rng)
-        xs = np.stack([protos[i % 3] + rng.normal(0, 0.05, 128) for i in range(12)])
-        rotated = diaconis_augment(xs, seed=2, prob=1.0)
-        s_orig = np.clip(cosine_similarity_matrix(xs), 0.0, None)
-        s_rot = np.clip(cosine_similarity_matrix(rotated), 0.0, None)
-        np.testing.assert_allclose(s_rot, s_orig, atol=1e-10)
 
 
 def make_pair_dataset(rng, n_pairs=200, sigma=0.05):

@@ -1,4 +1,5 @@
-"""Config defaults, file round-trip, and unknown-key rejection."""
+"""Config defaults, file round-trip, and rejection of unknown keys and bad
+values."""
 
 import pytest
 
@@ -61,3 +62,21 @@ def test_override():
     assert cfg.override(seed=7).seed == 7
     with pytest.raises(ConfigError):
         cfg.override(bogus=1)
+
+
+WINDOWS = ["vad_window_s", "vad_shift_s", "cts_win_s", "cts_shift_s", "ncts_win_s", "ncts_shift_s"]
+
+
+@pytest.mark.parametrize("key", WINDOWS)
+@pytest.mark.parametrize("value", [0.0, -0.5, float("nan")])
+def test_non_positive_window_or_shift_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        PipelineConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("key", ["vad_window_s", "vad_shift_s"])
+def test_vad_window_or_shift_below_one_frame_rejected(key):
+    # 4 ms rounds to zero 10 ms frames.
+    with pytest.raises(ConfigError, match=key):
+        PipelineConfig(**{key: 0.004}).validate()
+    PipelineConfig(**{key: 0.01}).validate()

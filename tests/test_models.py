@@ -1,18 +1,16 @@
-"""Model assemblies: shape laws, output ranges, weight plumbing, ArcFace,
-and the scorer's analytic gradients."""
+"""Model assemblies: shape laws, output ranges, weight plumbing, and the
+scorer's analytic gradients."""
 
 import numpy as np
 import pytest
 
 from diarkit.audio import FeatureMatrix
-from diarkit.errors import EmptyInputError, NumericError, ShapeError
+from diarkit.errors import EmptyInputError, ShapeError
 from diarkit.models import (
     EmbedNet,
     TsvadNet,
     V2sScorer,
     VadNet,
-    arcface_logits,
-    copy_embed_resnet_to_tsvad,
     init_embed_weights,
     init_tsvad_weights,
     init_vad_weights,
@@ -95,20 +93,21 @@ class TestEmbedNet:
 class TestTsvadNet:
     def test_outputs_in_unit_interval(self, tsvad_net):
         rng = np.random.default_rng(8)
-        out = tsvad_net.forward(feats(rng, 30, 80), rng.normal(size=128))
+        out = tsvad_net.detect(tsvad_net.identity_frames(feats(rng, 30, 80)), rng.normal(size=128))
         assert out.shape == (30,)
         assert np.all((out > 0) & (out < 1))
 
     def test_different_targets_differ(self, tsvad_net):
         rng = np.random.default_rng(9)
-        f = feats(rng, 30, 80)
-        a = tsvad_net.forward(f, rng.normal(size=128))
-        b = tsvad_net.forward(f, rng.normal(size=128))
+        identity = tsvad_net.identity_frames(feats(rng, 30, 80))
+        a = tsvad_net.detect(identity, rng.normal(size=128))
+        b = tsvad_net.detect(identity, rng.normal(size=128))
         assert not np.allclose(a, b)
 
     def test_target_dim_checked(self, tsvad_net):
+        identity = tsvad_net.identity_frames(feats(np.random.default_rng(10), 30, 80))
         with pytest.raises(ShapeError):
-            tsvad_net.forward(feats(np.random.default_rng(10), 30, 80), np.zeros(64))
+            tsvad_net.detect(identity, np.zeros(64))
 
     def test_zero_concat_path_ignores_target(self):
         # Zeroing the input rows that see the target makes tracks target-free.
@@ -119,20 +118,10 @@ class TestTsvadNet:
             store.put(f"tsvad.lstm.l0.{direction}.w_x", w)
         net = TsvadNet(store)
         rng = np.random.default_rng(11)
-        f = feats(rng, 28, 80)
-        a = net.forward(f, rng.normal(size=128))
-        b = net.forward(f, np.zeros(128))
+        identity = net.identity_frames(feats(rng, 28, 80))
+        a = net.detect(identity, rng.normal(size=128))
+        b = net.detect(identity, np.zeros(128))
         np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_resnet_copy(self):
-        embed_store = init_embed_weights(2)
-        tsvad_store = init_tsvad_weights(3)
-        before = tsvad_store.get("tsvad.resnet.stem.conv.kernel").copy()
-        copied = copy_embed_resnet_to_tsvad(embed_store, tsvad_store)
-        assert copied > 100
-        after = tsvad_store.get("tsvad.resnet.stem.conv.kernel")
-        assert not np.array_equal(before, after)
-        np.testing.assert_array_equal(after, embed_store.get("embed.resnet.stem.conv.kernel"))
 
 
 class TestV2sScorer:
@@ -180,41 +169,6 @@ class TestV2sScorer:
         np.testing.assert_array_equal(scorer.forward(m), back.forward(m))
 
 
-class TestArcface:
-    def test_margin_free_reduction(self):
-        rng = np.random.default_rng(5)
-        e = rng.normal(size=16)
-        w = rng.normal(size=(4, 16))
-        logits = arcface_logits(e, w, label=2, s=1.0, m=0.0)
-        cosines = (w @ e) / (np.linalg.norm(w, axis=1) * np.linalg.norm(e))
-        np.testing.assert_allclose(logits, cosines, atol=1e-6)
-
-    def test_aligned_sample(self):
-        w = np.eye(128)[:3]
-        logits = arcface_logits(w[0], w, label=0)
-        assert logits[0] == pytest.approx(32 * np.cos(0.2), abs=1e-9)
-
-    def test_defaults(self):
-        import inspect
-
-        sig = inspect.signature(arcface_logits)
-        assert sig.parameters["s"].default == 32.0
-        assert sig.parameters["m"].default == 0.2
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(NumericError):
-            arcface_logits(np.zeros(8), np.ones((2, 8)), 0)
-
-    def test_margin_lowers_target_logit(self):
-        rng = np.random.default_rng(6)
-        e = rng.normal(size=32)
-        w = rng.normal(size=(5, 32))
-        plain = arcface_logits(e, w, label=1, s=32.0, m=0.0)
-        margined = arcface_logits(e, w, label=1, s=32.0, m=0.2)
-        assert margined[1] < plain[1]
-        np.testing.assert_allclose(np.delete(margined, 1), np.delete(plain, 1))
-
-
 class TestAssemblyProperties:
     """Finite outputs in range for random weights and inputs (25 trials per
     assembly keeps the whole sweep inside the runtime budget)."""
@@ -241,7 +195,7 @@ class TestAssemblyProperties:
         for trial in range(25):
             net = TsvadNet(init_tsvad_weights(trial))
             t = int(rng.integers(10, 40))
-            out = net.forward(feats(rng, t, 80), rng.normal(size=128))
+            out = net.detect(net.identity_frames(feats(rng, t, 80)), rng.normal(size=128))
             assert out.shape == (t,)
             assert np.all((out > 0) & (out < 1))
 

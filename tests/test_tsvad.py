@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarkit.audio import AudioBuffer
 from diarkit.errors import EmptyInputError, InsufficientSpeechError, ParameterError
@@ -17,6 +19,7 @@ from diarkit.tsvad import (
     run_rounds,
     run_tsvad,
 )
+from oracles import assignment_matrix_oracle
 
 
 class FirstSampleEmbedder:
@@ -226,6 +229,37 @@ class TestPostprocess:
     def test_even_taps_rejected(self):
         with pytest.raises(ParameterError):
             postprocess(two_tracks(np.zeros(10), np.zeros(10)), [Segment(0, 0.1)], median_taps=4)
+
+
+class TestConvergenceTest:
+    """`run_rounds` stops when a round's turns equal the last round's. For
+    the same speakers and frame count that is exactly the old test, equal
+    frame-assignment matrices."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_turns_iff_equal_assignment(self, data):
+        n = data.draw(st.integers(1, 60), label="frames")
+        k = data.draw(st.integers(1, 3), label="speakers")
+        levels = st.sampled_from([0.0, 0.3, 0.5, 0.65, 0.8, 1.0])
+        a = np.array(data.draw(st.lists(levels, min_size=k * n, max_size=k * n))).reshape(k, n)
+        b = a.copy()
+        for i in data.draw(st.lists(st.integers(0, k * n - 1), max_size=3), label="changed"):
+            b.flat[i] = data.draw(levels)
+        # Speech edges in whole milliseconds, so they fall on and off the 10 ms grid.
+        spans = data.draw(
+            st.lists(st.tuples(st.integers(0, 10 * n), st.integers(1, 300)), min_size=1, max_size=4),
+            label="speech",
+        )
+        speech = [Segment(lo / 1000, (lo + length) / 1000) for lo, length in spans]
+        taps = data.draw(st.sampled_from([1, 3, 11]), label="taps")
+        ids = [f"s{i}" for i in range(k)]
+        da = postprocess(SpeakerTracks(ids, a), speech, median_taps=taps)
+        db = postprocess(SpeakerTracks(ids, b), speech, median_taps=taps)
+        same_matrix = np.array_equal(
+            assignment_matrix_oracle(da, ids, n), assignment_matrix_oracle(db, ids, n)
+        )
+        assert (da.turns == db.turns) == same_matrix
 
 
 class IdentityRoundNet:

@@ -149,6 +149,24 @@ class TestVadFiles:
         with pytest.raises(ParameterError):
             read_vad_file(path)
 
+    @pytest.mark.parametrize("text", ["0.5 2.25\n3.0 4.125\n", "0.5 2.25\n0.0 1.0 2.0\n"])
+    def test_closes_the_file(self, tmp_path, text):
+        import gc
+        import warnings
+
+        from diarkit.errors import ParameterError
+
+        path = tmp_path / "r.vad"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                read_vad_file(path)
+            except ParameterError:
+                pass
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
 
 class TestNetVadThroughPipeline:
     """The benchmark traces the net VAD by wrapping the name

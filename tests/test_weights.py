@@ -91,10 +91,24 @@ def test_wire_format_layout(tmp_path):
     assert path.read_bytes() == expected
 
 
-def test_subset_and_merge():
+def test_subset():
     store = WeightStore({"a.x": np.ones(1), "a.y": np.ones(2), "b.x": np.ones(3)})
     sub = store.subset("a")
     assert sub.names() == ["x", "y"]
-    merged = WeightStore()
-    merged.merge(sub, prefix="c")
-    assert merged.names() == ["c.x", "c.y"]
+    np.testing.assert_array_equal(sub.get("y"), np.ones(2))
+
+
+def test_entry_name_not_utf8(tmp_path):
+    # One entry whose 2-byte name is two UTF-8 continuation bytes with no lead byte.
+    path = tmp_path / "badname.nnw"
+    path.write_bytes(
+        b"NNW1"
+        + struct.pack("<I", 1)
+        + struct.pack("<I", 2)
+        + b"\x80\x80"
+        + struct.pack("<I", 1)
+        + struct.pack("<I", 1)
+        + struct.pack("<f", 1.0)
+    )
+    with pytest.raises(FormatError, match=r"badname\.nnw: entry name at byte 12 is not valid UTF-8"):
+        load_weights(path)
