@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .audio import read_wav, write_wav
-from .config import PipelineConfig, load_config, save_config
+from .config import PipelineConfig, load_config, read_text, save_config
 from .errors import ConfigError, DiarkitError
 from .metrics import (
     compute_der,
@@ -139,7 +139,7 @@ def cmd_tsvad(args) -> int:
     file_id = Path(args.audio).stem
     try:
         buf = read_wav(args.audio)
-        turns = parse_rttm(Path(args.rttm).read_text(encoding="utf-8"))
+        turns = parse_rttm(read_text(args.rttm))
         diar = turns_to_diarization(turns, file_id)
         if not diar.turns:
             raise DiarkitError(f"no turns for {file_id} in {args.rttm}")
@@ -162,9 +162,9 @@ def cmd_tsvad(args) -> int:
 
 
 def cmd_score(args) -> int:
-    ref_turns = parse_rttm(Path(args.ref).read_text(encoding="utf-8"))
-    hyp_turns = parse_rttm(Path(args.hyp).read_text(encoding="utf-8"))
-    uem = parse_uem(Path(args.uem).read_text(encoding="utf-8")) if args.uem else {}
+    ref_turns = parse_rttm(read_text(args.ref))
+    hyp_turns = parse_rttm(read_text(args.hyp))
+    uem = parse_uem(read_text(args.uem)) if args.uem else {}
     totals = {"err": 0.0, "ref": 0.0}
     failed = False
     for file_id in rttm_file_ids(ref_turns):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .audio import FRAME_SHIFT_S
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 
 @dataclass
@@ -51,6 +51,10 @@ class PipelineConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
+        for kind in ("cts", "ncts"):  # segment windows leave no gaps
+            win, shift = getattr(self, f"{kind}_win_s"), getattr(self, f"{kind}_shift_s")
+            if shift > win:
+                raise ConfigError(f"{kind}_shift_s must be <= {kind}_win_s, got {shift} > {win}")
         for name in ("vad_window_s", "vad_shift_s"):  # slid in whole 10 ms frames
             value = getattr(self, name)
             if not value >= FRAME_SHIFT_S:
@@ -75,13 +79,21 @@ class PipelineConfig:
         return cfg
 
 
+def read_text(path) -> str:
+    """A UTF-8 text input file; one that is not UTF-8 is a `FormatError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def load_config(path) -> PipelineConfig:
     """Read `key=value` lines; blank lines and #-comments are ignored.
     Unknown keys are rejected."""
     types = {f.name: f.type for f in fields(PipelineConfig)}
     casts = {"float": float, "int": int, "str": str}
     values: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -264,13 +264,13 @@ class TsvadNet:
         seq = _lstm_stack(self.p, "tsvad.lstm", TSVAD_LSTM_HIDDEN, 2, seq)
         return sigmoid(affine(seq, self.p["tsvad.fc.w"], self.p["tsvad.fc.b"]))[:, 0]
 
-    def tracks(self, buf, targets: list[np.ndarray]) -> np.ndarray:
-        """One detection track per target over the full recording."""
+    def bind(self, buf):
+        """The recording's identity frames, computed once; the returned
+        `tracks(targets)` runs one detection track per target over them."""
         from .audio import log_mel, mean_normalize
 
-        features = mean_normalize(log_mel(buf, EMBED_BINS))
-        identity = self.identity_frames(features)
-        return np.stack([self.detect(identity, t) for t in targets])
+        identity = self.identity_frames(mean_normalize(log_mel(buf, EMBED_BINS)))
+        return lambda targets: np.stack([self.detect(identity, t) for t in targets])
 
 
 def init_tsvad_weights(seed: int = 0) -> WeightStore:

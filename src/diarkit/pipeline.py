@@ -39,8 +39,9 @@ TASK2 = "task2"  # internal VAD
 @dataclass
 class Components:
     """Resolved model set, each kind called on an `AudioBuffer`: `embedder(buf)`
-    gives a vector, `vad(buf)` a `SpeechMask`, and `tsvad_net.tracks(buf,
-    targets)` one track per target. `scorer` rates pairs for `similarity=v2s`."""
+    gives a vector, `vad(buf)` a `SpeechMask`, and `tsvad_net.bind(buf)` a
+    `tracks(targets)` callable that gives one track per target. `scorer` rates
+    pairs for `similarity=v2s`."""
 
     embedder: object
     tsvad_net: object

@@ -46,19 +46,23 @@ class SpectralEmbedder:
 class SpectralTsvad:
     """Per-frame cosine between the frame's band profile and the target."""
 
-    def tracks(self, buf: AudioBuffer, targets: list[np.ndarray]) -> np.ndarray:
-        spec = stft_magnitude(buf)
-        frames = _band_profile(spec.magnitudes)
+    def bind(self, buf: AudioBuffer):
+        """The recording's unit frame profiles, computed once; the returned
+        `tracks(targets)` scores one track per target against them."""
+        frames = _band_profile(stft_magnitude(buf).magnitudes)
         # Not the clustering cosine: silent frames have a zero profile and
         # must score 0, so the norm is clamped instead of raising.
-        norms = np.linalg.norm(frames, axis=1)
-        unit = frames / np.maximum(norms, 1e-12)[:, None]
-        out = np.empty((len(targets), frames.shape[0]))
-        for row, target in enumerate(targets):
-            t = np.asarray(target, dtype=np.float64)
-            t = t / max(np.linalg.norm(t), 1e-12)
-            out[row] = np.clip(unit @ t, 0.0, 1.0)
-        return out
+        unit = frames / np.maximum(np.linalg.norm(frames, axis=1), 1e-12)[:, None]
+
+        def tracks(targets: list[np.ndarray]) -> np.ndarray:
+            out = np.empty((len(targets), unit.shape[0]))
+            for row, target in enumerate(targets):
+                t = np.asarray(target, dtype=np.float64)
+                t = t / max(np.linalg.norm(t), 1e-12)
+                out[row] = np.clip(unit @ t, 0.0, 1.0)
+            return out
+
+        return tracks
 
 
 class EnergyVad:

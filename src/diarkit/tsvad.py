@@ -1,5 +1,11 @@
 """Target-speaker detection inference: target extraction, per-speaker frame
-tracks, median-filter post-processing, and fixed-point round iteration."""
+tracks, median-filter post-processing, and fixed-point round iteration.
+
+A detector has one method, `bind(buf)`. It does the per-recording work that
+does not depend on the targets (features, and for `TsvadNet` the ResNet
+trunk) and returns a `tracks(targets)` callable, which gives one frame track
+per target embedding on the 10 ms grid. `run_rounds` binds once per
+recording and calls the result in every round."""
 
 from __future__ import annotations
 
@@ -74,13 +80,13 @@ def extract_target_embeddings(
     return targets
 
 
-def run_tsvad(net, buf: AudioBuffer, targets: dict[str, np.ndarray]) -> SpeakerTracks:
-    """One detection pass per target over the whole recording."""
+def run_tsvad(tracks, targets: dict[str, np.ndarray]) -> SpeakerTracks:
+    """One detection pass per target over the recording that `tracks`, a
+    detector's `bind(buf)`, was bound to."""
     if not targets:
         raise ParameterError("run_tsvad needs at least one target")
     ids = list(targets)
-    tracks = net.tracks(buf, [targets[s] for s in ids])
-    return SpeakerTracks(ids, np.asarray(tracks, dtype=np.float64))
+    return SpeakerTracks(ids, np.asarray(tracks([targets[s] for s in ids]), dtype=np.float64))
 
 
 def median_filter(track: np.ndarray, taps: int = PipelineConfig.median_taps) -> np.ndarray:
@@ -141,7 +147,8 @@ def run_rounds(
     """Iterate target extraction and detection until the diarization stops
     changing, or the round budget runs out. For a fixed speaker order the
     turns are a one-to-one function of the frame assignment, so equal turns
-    mean the frame-for-frame fixed point.
+    mean the frame-for-frame fixed point. `net.bind(buf)` runs once, after
+    round 1's targets are extracted; every round scores through it.
 
     A round that leaves any speaker without speech falls back to the previous
     round's result with a warning instead of failing.
@@ -152,6 +159,7 @@ def run_rounds(
     regions = initial_regions
     previous: Diarization | None = None
     history: list[Diarization] = []
+    tracks_for = None
     for rounds in range(1, max_rounds + 1):
         try:
             targets = extract_target_embeddings(buf, regions, embedder, target_max_s)
@@ -159,7 +167,9 @@ def run_rounds(
             if previous is None:
                 raise
             return RoundResult(previous, rounds - 1, False, warning=str(exc), history=history)
-        tracks = run_tsvad(net, buf, targets)
+        if tracks_for is None:
+            tracks_for = net.bind(buf)
+        tracks = run_tsvad(tracks_for, targets)
         diar = postprocess(tracks, speech, threshold, median_taps, recording_id)
         history.append(diar)
         per = diar.per_speaker()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import FRAME_SHIFT_S, AudioBuffer, FeatureMatrix, log_mel
-from .config import PipelineConfig
+from .config import PipelineConfig, read_text
 from .errors import ParameterError
 from .models import VAD_BINS
 from .segments import Segment, mask_to_segments
@@ -82,19 +82,20 @@ def binarize(
 def read_vad_file(path) -> list[Segment]:
     """Parse `<start> <end>` lines (seconds) into sorted segments."""
     segs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParameterError(f"{path}:{lineno}: expected '<start> <end>', got {line!r}")
-            try:
-                start, end = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ParameterError(f"{path}:{lineno}: non-numeric time") from exc
-            segs.append(Segment(start, end))
+    # Lines end at "\n" alone, as in file iteration; splitlines() would also
+    # break at the form feeds and vertical tabs that split() takes as spaces.
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParameterError(f"{path}:{lineno}: expected '<start> <end>', got {line!r}")
+        try:
+            start, end = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{lineno}: non-numeric time") from exc
+        segs.append(Segment(start, end))
     return sorted(segs, key=lambda s: s.start_s)
 
 

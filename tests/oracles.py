@@ -8,7 +8,9 @@ own padding bookkeeping. The clustering oracles are the pairwise loops that
 frame matrix that `run_rounds` once rebuilt to test convergence, where it
 now compares turns. `compute_der_grid_oracle` is the
 1 ms boolean-grid DER scorer with an exhaustive permutation mapping that the
-interval sweep in `diarkit.metrics.compute_der` replaced.
+interval sweep in `diarkit.metrics.compute_der` replaced. The two
+`*_tracks_oracle` functions are the detectors' `tracks(buf, targets)`, which
+redid the per-recording work on every call, as `bind(buf)` replaced them.
 """
 
 import itertools
@@ -16,11 +18,13 @@ import math
 
 import numpy as np
 
-from diarkit.audio import FRAME_SHIFT_S
+from diarkit.audio import FRAME_SHIFT_S, log_mel, mean_normalize, stft_magnitude
 from diarkit.clustering import Clustering
 from diarkit.errors import InputError, NumericError, ParameterError
 from diarkit.metrics import FRAME_S, DerReport
+from diarkit.models import EMBED_BINS
 from diarkit.segments import Diarization, Segment
+from diarkit.stubs import _band_profile
 
 MAX_MAPPED_SPEAKERS = 8
 
@@ -367,3 +371,26 @@ def compute_der_grid_oracle(
         mapping=mapping,
     )
     return report
+
+
+def spectral_tracks_oracle(buf, targets):
+    """`SpectralTsvad.tracks(buf, targets)`: per-frame cosine between the
+    frame's band profile and each target, clipped to [0, 1]."""
+    spec = stft_magnitude(buf)
+    frames = _band_profile(spec.magnitudes)
+    norms = np.linalg.norm(frames, axis=1)
+    unit = frames / np.maximum(norms, 1e-12)[:, None]
+    out = np.empty((len(targets), frames.shape[0]))
+    for row, target in enumerate(targets):
+        t = np.asarray(target, dtype=np.float64)
+        t = t / max(np.linalg.norm(t), 1e-12)
+        out[row] = np.clip(unit @ t, 0.0, 1.0)
+    return out
+
+
+def tsvad_net_tracks_oracle(net, buf, targets):
+    """`TsvadNet.tracks(buf, targets)`: features and identity frames, then one
+    detection per target."""
+    features = mean_normalize(log_mel(buf, EMBED_BINS))
+    identity = net.identity_frames(features)
+    return np.stack([net.detect(identity, t) for t in targets])

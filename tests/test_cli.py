@@ -493,6 +493,75 @@ class TestSetupErrors:
         assert main(["diarize", str(synth_dir), "--out-dir", str(out_dir), "--config", str(cfg)]) == 2
         assert "fc3.b" in self._single_error_line(capsys, "diarize")
 
+    def test_segment_shift_longer_than_window(self, tmp_path, capsys):
+        buf, _ = gen_audio_conversation(SynthSpec(n_speakers=2, duration_s=6.0, seed=1))
+        write_wav(tmp_path / "synth0001.wav", buf)
+        cfg = tmp_path / "seg.cfg"
+        cfg.write_text("cts_win_s=0.5\ncts_shift_s=0.75\n", encoding="utf-8")
+        code = main(
+            [
+                "diarize", str(tmp_path / "synth0001.wav"), "--out-dir", str(tmp_path / "out"),
+                "--config", str(cfg), "--stub-embeddings",
+            ]
+        )
+        assert code == 2
+        assert "cts_shift_s" in self._single_error_line(capsys, "diarize")
+
+
+class TestNotUtf8:
+    """A text input holding a byte that is not UTF-8 gives one stderr line
+    naming the file, and exit 2."""
+
+    @staticmethod
+    def _with_ff(src, dst, extra: bytes = b"") -> str:
+        dst.write_bytes(src.read_bytes() + extra)
+        return str(dst)
+
+    def _one_line(self, capsys, name: str) -> str:
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.err
+        assert name in lines[0] and "not UTF-8" in lines[0]
+        return lines[0]
+
+    def test_config(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=1\n# \xff\n")
+        assert main(["partition", str(synth_dir), "--config", str(cfg)]) == 2
+        assert self._one_line(capsys, "bad.cfg").startswith("diarkit partition: error: ")
+
+    def test_score_rttm(self, synth_dir, tmp_path, capsys):
+        ref = synth_dir / "synth0003.rttm"
+        bad = b"SPEAKER synth0003 1 0.000 1.000 <NA> <NA> \xff <NA> <NA>\n"
+        hyp = self._with_ff(ref, tmp_path / "bad.rttm", bad)
+        assert main(["score", str(ref), hyp]) == 2
+        assert self._one_line(capsys, "bad.rttm").startswith("diarkit score: error: ")
+
+    def test_score_uem(self, synth_dir, tmp_path, capsys):
+        uem = tmp_path / "bad.uem"
+        uem.write_bytes(b"synth0003 1 0.000 \xff\n")
+        ref = str(synth_dir / "synth0003.rttm")
+        assert main(["score", ref, ref, "--uem", str(uem)]) == 2
+        assert self._one_line(capsys, "bad.uem").startswith("diarkit score: error: ")
+
+    def _tsvad(self, synth_dir, rttm, vad) -> int:
+        return main(
+            [
+                "tsvad", "--audio", str(synth_dir / "synth0003.wav"), "--rttm", str(rttm),
+                "--vad", str(vad), "--out", str(synth_dir / "out.rttm"), "--stub-embeddings",
+            ]
+        )
+
+    def test_tsvad_rttm(self, synth_dir, tmp_path, capsys):
+        rttm = self._with_ff(synth_dir / "synth0003.rttm", tmp_path / "bad.rttm", b"\xff\n")
+        assert self._tsvad(synth_dir, rttm, synth_dir / "synth0003.vad") == 2
+        assert self._one_line(capsys, "bad.rttm").startswith("synth0003\tERROR\t")
+
+    def test_tsvad_vad(self, synth_dir, tmp_path, capsys):
+        vad = self._with_ff(synth_dir / "synth0003.vad", tmp_path / "bad.vad", b"\xff\n")
+        assert self._tsvad(synth_dir, synth_dir / "synth0003.rttm", vad) == 2
+        assert self._one_line(capsys, "bad.vad").startswith("synth0003\tERROR\t")
+
 
 class TestUnembeddableSegments:
     def test_silent_region_in_task1_vad(self, tmp_path):

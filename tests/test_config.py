@@ -4,7 +4,7 @@ values."""
 import pytest
 
 from diarkit.config import PipelineConfig, load_config, save_config
-from diarkit.errors import ConfigError
+from diarkit.errors import ConfigError, FormatError
 
 
 def test_defaults_are_published_operating_points():
@@ -80,3 +80,18 @@ def test_vad_window_or_shift_below_one_frame_rejected(key):
     with pytest.raises(ConfigError, match=key):
         PipelineConfig(**{key: 0.004}).validate()
     PipelineConfig(**{key: 0.01}).validate()
+
+
+@pytest.mark.parametrize("kind", ["cts", "ncts"])
+def test_segment_shift_longer_than_window_rejected(kind):
+    win = getattr(PipelineConfig, f"{kind}_win_s")
+    with pytest.raises(ConfigError, match=f"{kind}_shift_s"):
+        PipelineConfig(**{f"{kind}_shift_s": win + 0.25}).validate()
+    PipelineConfig(**{f"{kind}_shift_s": win}).validate()
+
+
+def test_not_utf8_rejected(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed=1\n# \xff\n")
+    with pytest.raises(FormatError, match="bad.cfg"):
+        load_config(path)

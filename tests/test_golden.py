@@ -1,5 +1,6 @@
 """Golden outputs: SHA-256 digests of the RTTMs and report lines that fixed
-synthetic recordings give with stub components, in task 1 and task 2.
+synthetic recordings give with stub components, in task 1 and task 2, and
+of the RTTM the neural detector gives with fixed random weights.
 
 A refactor or an exact speed-up leaves every digest unchanged; a change that
 alters outputs on purpose updates them and says why. The report digests also
@@ -15,8 +16,9 @@ import pytest
 
 from diarkit.audio import write_wav
 from diarkit.config import PipelineConfig
-from diarkit.pipeline import TASK1, TASK2, build_stub_components, run_pipeline
-from diarkit.stubs import reference_speech
+from diarkit.models import TsvadNet, init_tsvad_weights
+from diarkit.pipeline import TASK1, TASK2, Components, build_stub_components, run_pipeline
+from diarkit.stubs import SpectralEmbedder, reference_speech
 from diarkit.synth import SynthSpec, gen_audio_conversation
 from diarkit.vad import write_vad_file
 
@@ -58,6 +60,12 @@ GOLDEN = {
     ),
 }
 
+# A 2 s narrowband call of short turns through `TsvadNet` with the weights of
+# `init_tsvad_weights(0)`; the stub embedder finds the two speakers, and the
+# detector runs four rounds.
+NET_RECORDING = SynthSpec(n_speakers=2, duration_s=2.0, turn_min_s=0.5, turn_max_s=1.0, seed=32)
+NET_GOLDEN_RTTM = "8627b192138308aa1ee81375c0914978cbe8f81fcce541add2ec843ad9f166f2"
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -94,3 +102,16 @@ def test_golden_outputs(wav_dir, tmp_path, mode):
             _sha(json.dumps(entry, sort_keys=True).encode("utf-8")),
         )
         assert got == GOLDEN[(mode, file_id)], (mode, file_id, line)
+
+
+def test_golden_net_detector(tmp_path):
+    buf, ref = gen_audio_conversation(NET_RECORDING, recording_id="net2")
+    write_wav(tmp_path / "net2.wav", buf)
+    write_vad_file(tmp_path / "net2.vad", reference_speech(ref.turns))
+    components = Components(SpectralEmbedder(), TsvadNet(init_tsvad_weights(0)))
+    [result] = run_pipeline(
+        [tmp_path / "net2.wav"], tmp_path, TASK1, components, PipelineConfig(),
+        {"net2": tmp_path / "net2.vad"},
+    )
+    assert (result.status, result.bandwidth, result.rounds) == ("ok", "CTS", 4), result
+    assert _sha((tmp_path / "net2.rttm").read_bytes()) == NET_GOLDEN_RTTM

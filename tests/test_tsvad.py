@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diarkit import stubs
 from diarkit.audio import AudioBuffer
 from diarkit.errors import EmptyInputError, InsufficientSpeechError, ParameterError
+from diarkit.models import TsvadNet, init_tsvad_weights
 from diarkit.segments import Segment, segments_to_mask
-from diarkit.stubs import SpectralEmbedder
+from diarkit.stubs import SpectralEmbedder, SpectralTsvad, reference_speech
+from diarkit.synth import SynthSpec, gen_audio_conversation
 from diarkit.tsvad import (
     SpeakerTracks,
     extract_target_embeddings,
@@ -19,7 +22,7 @@ from diarkit.tsvad import (
     run_rounds,
     run_tsvad,
 )
-from oracles import assignment_matrix_oracle
+from oracles import assignment_matrix_oracle, spectral_tracks_oracle, tsvad_net_tracks_oracle
 
 
 class FirstSampleEmbedder:
@@ -38,8 +41,8 @@ class MatrixStubNet:
     def __init__(self, identity):
         self.identity = identity
 
-    def tracks(self, buf, targets):
-        return np.stack(
+    def bind(self, buf):
+        return lambda targets: np.stack(
             [1.0 / (1.0 + np.exp(-(self.identity @ t))) for t in targets]
         )
 
@@ -95,24 +98,24 @@ class TestRunTsvad:
         net = MatrixStubNet(identity)
         buf = ramp_buffer(1.0)
         t = rng.normal(size=128)
-        tracks = run_tsvad(net, buf, {"a": t, "b": rng.normal(size=128)})
+        tracks = run_tsvad(net.bind(buf), {"a": t, "b": rng.normal(size=128)})
         assert tracks.tracks.shape == (2, 50)
         assert tracks.speaker_ids == ["a", "b"]
-        again = run_tsvad(net, buf, {"a": t, "b": np.ones(128)})
+        again = run_tsvad(net.bind(buf), {"a": t, "b": np.ones(128)})
         np.testing.assert_array_equal(tracks.tracks[0], again.tracks[0])
 
     def test_identical_targets_identical_tracks(self):
         rng = np.random.default_rng(1)
         net = MatrixStubNet(rng.normal(size=(30, 128)))
         t = rng.normal(size=128)
-        tracks = run_tsvad(net, ramp_buffer(1.0), {"a": t, "b": t.copy()})
+        tracks = run_tsvad(net.bind(ramp_buffer(1.0)), {"a": t, "b": t.copy()})
         np.testing.assert_array_equal(tracks.tracks[0], tracks.tracks[1])
 
     def test_stub_matches_hand_oracle(self):
         rng = np.random.default_rng(2)
         identity = rng.normal(size=(20, 128))
         target = rng.normal(size=128)
-        tracks = run_tsvad(MatrixStubNet(identity), ramp_buffer(0.5), {"a": target})
+        tracks = run_tsvad(MatrixStubNet(identity).bind(ramp_buffer(0.5)), {"a": target})
         expected = np.array(
             [1.0 / (1.0 + math.exp(-float(identity[i] @ target))) for i in range(20)]
         )
@@ -120,7 +123,101 @@ class TestRunTsvad:
 
     def test_no_targets(self):
         with pytest.raises(ParameterError):
-            run_tsvad(MatrixStubNet(np.zeros((5, 128))), ramp_buffer(0.5), {})
+            run_tsvad(MatrixStubNet(np.zeros((5, 128))).bind(ramp_buffer(0.5)), {})
+
+
+@st.composite
+def bound_inputs(draw, max_s):
+    """A noise buffer, some of it silent, and a few lists of 1-4 targets."""
+    rate = draw(st.sampled_from([8000, 16000]))
+    n = int(draw(st.floats(0.03, max_s)) * rate)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.normal(scale=draw(st.sampled_from([0.01, 1.0])), size=n)
+    samples[: draw(st.integers(0, n // 2))] = 0.0
+    calls = [
+        [rng.normal(size=128) for _ in range(draw(st.integers(1, 4)))]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return AudioBuffer(samples, rate), calls
+
+
+class TestBind:
+    """A bound detector gives what `tracks(buf, targets)` gave, on every call."""
+
+    @given(bound_inputs(max_s=3.0))
+    @settings(max_examples=50, deadline=None)
+    def test_spectral_matches_oracle(self, inputs):
+        buf, calls = inputs
+        tracks = SpectralTsvad().bind(buf)
+        for targets in calls:
+            assert np.array_equal(tracks(targets), spectral_tracks_oracle(buf, targets))
+
+    @given(bound_inputs(max_s=0.6))
+    @settings(max_examples=8, deadline=None)
+    def test_net_matches_oracle(self, inputs):
+        buf, calls = inputs
+        net = TsvadNet(init_tsvad_weights(0))
+        tracks = net.bind(buf)
+        for targets in calls:
+            assert np.array_equal(tracks(targets), tsvad_net_tracks_oracle(net, buf, targets))
+
+
+def reference_rounds_inputs(spec):
+    """An 8 kHz synthetic call with its reference speaker regions and speech."""
+    buf, ref = gen_audio_conversation(spec, sample_rate=8000)
+    return buf, ref.per_speaker(), reference_speech(ref.turns)
+
+
+class TestBindOncePerRecording:
+    """`run_rounds` does the per-recording detection work once, however many
+    rounds run."""
+
+    def test_identity_frames_once(self, monkeypatch):
+        calls = []
+        identity_frames = TsvadNet.identity_frames
+
+        def counted(self, features):
+            calls.append(features.n_frames)
+            return identity_frames(self, features)
+
+        monkeypatch.setattr(TsvadNet, "identity_frames", counted)
+        buf, regions, speech = reference_rounds_inputs(
+            SynthSpec(duration_s=2.0, turn_min_s=0.5, turn_max_s=1.0, seed=32)
+        )
+        result = run_rounds(buf, regions, TsvadNet(init_tsvad_weights(0)), SpectralEmbedder(), speech)
+        assert result.rounds > 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("max_rounds", [1, 2, 4])
+    def test_whole_recording_stft_once(self, monkeypatch, max_rounds):
+        buf, regions, speech = reference_rounds_inputs(
+            SynthSpec(duration_s=12.0, overlap_fraction=0.3, noise_sigma=0.3, seed=4)
+        )
+        seen = []
+        stft_magnitude = stubs.stft_magnitude
+
+        def counted(b):
+            seen.append(b)
+            return stft_magnitude(b)
+
+        monkeypatch.setattr(stubs, "stft_magnitude", counted)
+        result = run_rounds(
+            buf, regions, SpectralTsvad(), SpectralEmbedder(), speech, max_rounds=max_rounds
+        )
+        assert result.rounds == max_rounds
+        assert sum(b is buf for b in seen) == 1
+        assert len(seen) > result.rounds  # the embedder's target slices go through it too
+
+    def test_round_one_targets_come_before_the_bind(self):
+        class Unbindable:
+            def bind(self, buf):
+                raise AssertionError("bound before round 1's targets")
+
+        with pytest.raises(InsufficientSpeechError):
+            run_rounds(
+                ramp_buffer(2.0), {"a": [Segment(0.0, 0.1)]}, Unbindable(),
+                FirstSampleEmbedder(), [Segment(0.0, 2.0)],
+            )
 
 
 class TestMedianFilter:
@@ -269,12 +366,9 @@ class IdentityRoundNet:
     def __init__(self, frame_flags):
         self.frame_flags = frame_flags  # dict speaker -> [T] activity
 
-    def tracks(self, buf, targets):
-        out = []
-        for t in targets:
-            key = int(round(t[2]))  # embedder stores a speaker key at index 2
-            out.append(self.frame_flags[key])
-        return np.stack(out)
+    def bind(self, buf):
+        # The embedder stores a speaker key at index 2.
+        return lambda targets: np.stack([self.frame_flags[int(round(t[2]))] for t in targets])
 
 
 class KeyedEmbedder:

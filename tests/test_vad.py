@@ -149,6 +149,20 @@ class TestVadFiles:
         with pytest.raises(ParameterError):
             read_vad_file(path)
 
+    def test_line_ends(self, tmp_path):
+        # CR and CRLF end lines; a form feed inside a line separates fields.
+        path = tmp_path / "r.vad"
+        path.write_bytes(b"0.5\x0c2.25\r\n3.0 4.125\r5.0 6.0")
+        assert read_vad_file(path) == [Segment(0.5, 2.25), Segment(3.0, 4.125), Segment(5.0, 6.0)]
+
+    def test_not_utf8(self, tmp_path):
+        from diarkit.errors import FormatError
+
+        path = tmp_path / "bad.vad"
+        path.write_bytes(b"0.5 2.25\n# \xff\n")
+        with pytest.raises(FormatError, match="bad.vad"):
+            read_vad_file(path)
+
     @pytest.mark.parametrize("text", ["0.5 2.25\n3.0 4.125\n", "0.5 2.25\n0.0 1.0 2.0\n"])
     def test_closes_the_file(self, tmp_path, text):
         import gc
