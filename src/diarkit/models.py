@@ -11,6 +11,13 @@ here so weight files are reproducible):
   - untrained weights come from seeded fan-in uniform init, so tests are
     reproducible without any trained checkpoint
 
+Numerics: each ResNet trunk runs in float32, with every batch norm folded
+into its conv's kernel and bias once, when the model is built; the trunk's
+output returns to float64 for pooling, the LSTMs and the affine heads. Against
+a float64 conv-then-batch-norm trunk, tests bound the drift to 1e-5 of the
+largest magnitude for trunk maps, identity frames and embeddings, 1e-4 for
+detection probabilities and 1e-5 for VAD probabilities.
+
 Weight names are dot-paths under a per-model prefix, e.g.
 "embed.resnet.stage2.block0.conv1.kernel"; see init_* for the full set.
 """
@@ -74,33 +81,80 @@ def _init_bn(store: WeightStore, name: str, ch: int) -> None:
     store.put(f"{name}.var", np.ones(ch, dtype=np.float32))
 
 
-def _init_conv(store: WeightStore, name: str, c_out: int, c_in: int, k: int, rng) -> None:
-    store.put(f"{name}.kernel", he_uniform(rng, (c_out, c_in, k, k), c_in * k * k))
-
-
-def init_resnet(store: WeightStore, prefix: str, widths, blocks, rng) -> None:
-    _init_conv(store, f"{prefix}.stem.conv", widths[0], 1, 3, rng)
-    _init_bn(store, f"{prefix}.stem.bn", widths[0])
+def _resnet_blocks(widths, blocks):
+    """(name, input channels, width, stride, projected) of each residual block;
+    a block whose shape changes takes its shortcut through a projection."""
     in_ch = widths[0]
     for s, (width, n_blocks) in enumerate(zip(widths, blocks)):
         for b in range(n_blocks):
-            base = f"{prefix}.stage{s}.block{b}"
             stride = STAGE_STRIDES[s] if b == 0 else (1, 1)
-            _init_conv(store, f"{base}.conv1", width, in_ch, 3, rng)
-            _init_bn(store, f"{base}.bn1", width)
-            _init_conv(store, f"{base}.conv2", width, width, 3, rng)
-            _init_bn(store, f"{base}.bn2", width)
-            if in_ch != width or stride != (1, 1):
-                _init_conv(store, f"{base}.down.conv", width, in_ch, 1, rng)
-                _init_bn(store, f"{base}.down.bn", width)
+            yield f"stage{s}.block{b}", in_ch, width, stride, in_ch != width or stride != (1, 1)
             in_ch = width
 
 
-class _Params:
-    """Float64 view of a WeightStore subtree, cached per model instance."""
+def _resnet_convs(widths, blocks):
+    """(conv name, batch-norm name, kernel shape) of each conv, stem first,
+    in the order `init_resnet` draws their kernels."""
+    yield "stem.conv", "stem.bn", (widths[0], 1, 3, 3)
+    for base, in_ch, width, _, projected in _resnet_blocks(widths, blocks):
+        yield f"{base}.conv1", f"{base}.bn1", (width, in_ch, 3, 3)
+        yield f"{base}.conv2", f"{base}.bn2", (width, width, 3, 3)
+        if projected:
+            yield f"{base}.down.conv", f"{base}.down.bn", (width, in_ch, 1, 1)
 
-    def __init__(self, store: WeightStore):
-        self._arrays = {name: store.get64(name) for name in store.names()}
+
+def init_resnet(store: WeightStore, prefix: str, widths, blocks, rng) -> None:
+    for conv, bn, shape in _resnet_convs(widths, blocks):
+        c_out, c_in, k, _ = shape
+        store.put(f"{prefix}.{conv}.kernel", he_uniform(rng, shape, c_in * k * k))
+        _init_bn(store, f"{prefix}.{bn}", c_out)
+
+
+def _checked(store: WeightStore, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    if name not in store:
+        raise ShapeError(f"missing weight {name!r}")
+    value = store.get(name)
+    if value.shape != shape:
+        raise ShapeError(f"weight {name!r}: shape {value.shape}, expected {shape}")
+    return value
+
+
+def _fold_conv_bn(store: WeightStore, conv: str, bn: str, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel and bias of `conv` followed by `bn`, as one float32 conv.
+
+    Batch norm scales each output channel by gamma / sqrt(var + eps) and
+    shifts it by beta - mean * scale. The scale is the batch norm of a ones
+    vector with beta = mean = 0, and the bias that of a zero vector, both in
+    float64; the float32 kernel is multiplied by the scale rounded to
+    float32, one pass that keeps the build cheaper than a float64 copy.
+    """
+    kernel = _checked(store, f"{conv}.kernel", shape)
+    gamma, beta, mean, var = (
+        _checked(store, f"{bn}.{k}", shape[:1]) for k in ("gamma", "beta", "mean", "var")
+    )
+    zero = np.zeros(shape[0])
+    scale = batch_norm_infer(np.ones(shape[0]), gamma, zero, zero, var).astype(np.float32)
+    bias = batch_norm_infer(zero, gamma, beta, mean, var).astype(np.float32)
+    return kernel * scale[:, None, None, None], bias.reshape(-1, 1, 1)
+
+
+class _Params:
+    """A model's weights, read once when it is built.
+
+    The ResNet trunk under `prefix` becomes one float32 kernel and bias per
+    conv, with its batch norm folded in. Every trunk entry is checked against
+    the trunk's shapes here, so a bad file fails before any audio is read.
+    The other entries are kept as float64 arrays.
+    """
+
+    def __init__(self, store: WeightStore, prefix: str, widths, blocks):
+        self.convs = {
+            f"{prefix}.{conv}": _fold_conv_bn(store, f"{prefix}.{conv}", f"{prefix}.{bn}", shape)
+            for conv, bn, shape in _resnet_convs(widths, blocks)
+        }
+        self._arrays = {
+            name: store.get64(name) for name in store.names() if not name.startswith(f"{prefix}.")
+        }
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self._arrays:
@@ -108,29 +162,21 @@ class _Params:
         return self._arrays[name]
 
 
-def _bn(p: _Params, name: str, x: np.ndarray) -> np.ndarray:
-    return batch_norm_infer(
-        x, p[f"{name}.gamma"], p[f"{name}.beta"], p[f"{name}.mean"], p[f"{name}.var"]
-    )
+def _conv(p: _Params, name: str, x: np.ndarray, stride=(1, 1)) -> np.ndarray:
+    kernel, bias = p.convs[name]
+    return conv2d(x, kernel, stride) + bias
 
 
 def resnet_forward(p: _Params, prefix: str, widths, blocks, x: np.ndarray) -> np.ndarray:
-    """Run the residual stack on x[1,T,F]; returns [C_last, T, F']."""
-    y = relu(_bn(p, f"{prefix}.stem.bn", conv2d(x, p[f"{prefix}.stem.conv.kernel"])))
-    in_ch = widths[0]
-    for s, (width, n_blocks) in enumerate(zip(widths, blocks)):
-        for b in range(n_blocks):
-            base = f"{prefix}.stage{s}.block{b}"
-            stride = STAGE_STRIDES[s] if b == 0 else (1, 1)
-            out = relu(_bn(p, f"{base}.bn1", conv2d(y, p[f"{base}.conv1.kernel"], stride)))
-            out = _bn(p, f"{base}.bn2", conv2d(out, p[f"{base}.conv2.kernel"]))
-            if in_ch != width or stride != (1, 1):
-                shortcut = _bn(p, f"{base}.down.bn", conv2d(y, p[f"{base}.down.conv.kernel"], stride))
-            else:
-                shortcut = y
-            y = relu(out + shortcut)
-            in_ch = width
-    return y
+    """Run the residual stack on x[1,T,F] in float32; returns [C_last, T, F']
+    in float64."""
+    y = relu(_conv(p, f"{prefix}.stem.conv", x.astype(np.float32)))
+    for base, _, _, stride, projected in _resnet_blocks(widths, blocks):
+        base = f"{prefix}.{base}"
+        out = _conv(p, f"{base}.conv2", relu(_conv(p, f"{base}.conv1", y, stride)))
+        shortcut = _conv(p, f"{base}.down.conv", y, stride) if projected else y
+        y = relu(out + shortcut)
+    return y.astype(np.float64)
 
 
 def _init_lstm_stack(store: WeightStore, prefix: str, d_in: int, hidden: int, layers: int, rng) -> None:
@@ -169,14 +215,16 @@ def _lstm_stack(p: _Params, prefix: str, hidden: int, layers: int, x: np.ndarray
 class VadNet:
     """Frame-level speech probability from 32-bin features."""
 
+    TRUNK = ("vad.resnet", VAD_WIDTHS, VAD_BLOCKS)
+
     def __init__(self, store: WeightStore):
-        self.p = _Params(store)
+        self.p = _Params(store, *self.TRUNK)
 
     def forward(self, features: FeatureMatrix) -> np.ndarray:
         if features.bins != VAD_BINS:
             raise ShapeError(f"VadNet expects {VAD_BINS} bins, got {features.bins}")
         x = features.data[None, :, :]
-        maps = resnet_forward(self.p, "vad.resnet", VAD_WIDTHS, VAD_BLOCKS, x)
+        maps = resnet_forward(self.p, *self.TRUNK, x)
         frames = global_avg_pool_freq(maps)
         seq = _lstm_stack(self.p, "vad.lstm", VAD_LSTM_HIDDEN, 2, frames)
         hid = relu(affine(seq, self.p["vad.fc1.w"], self.p["vad.fc1.b"]))
@@ -186,7 +234,7 @@ class VadNet:
 def init_vad_weights(seed: int = 0) -> WeightStore:
     rng = np.random.default_rng(seed)
     store = WeightStore()
-    init_resnet(store, "vad.resnet", VAD_WIDTHS, VAD_BLOCKS, rng)
+    init_resnet(store, *VadNet.TRUNK, rng)
     _init_lstm_stack(store, "vad.lstm", VAD_WIDTHS[-1], VAD_LSTM_HIDDEN, 2, rng)
     store.put("vad.fc1.w", he_uniform(rng, (2 * VAD_LSTM_HIDDEN, 64), 2 * VAD_LSTM_HIDDEN))
     store.put("vad.fc1.b", np.zeros(64, dtype=np.float32))
@@ -202,8 +250,10 @@ def init_vad_weights(seed: int = 0) -> WeightStore:
 class EmbedNet:
     """128-dim speaker embedding from 80-bin features."""
 
+    TRUNK = ("embed.resnet", EMBED_WIDTHS, EMBED_BLOCKS)
+
     def __init__(self, store: WeightStore):
-        self.p = _Params(store)
+        self.p = _Params(store, *self.TRUNK)
 
     def forward(self, features: FeatureMatrix) -> np.ndarray:
         if features.bins != EMBED_BINS:
@@ -213,7 +263,7 @@ class EmbedNet:
                 f"embedding needs >= {MIN_EMBED_FRAMES} frames, got {features.n_frames}"
             )
         x = features.data[None, :, :]
-        maps = resnet_forward(self.p, "embed.resnet", EMBED_WIDTHS, EMBED_BLOCKS, x)
+        maps = resnet_forward(self.p, *self.TRUNK, x)
         c, t, f = maps.shape
         stats = global_stat_pool(maps.transpose(1, 0, 2).reshape(t, c * f))
         return affine(stats, self.p["embed.fc.w"], self.p["embed.fc.b"])
@@ -228,7 +278,7 @@ class EmbedNet:
 def init_embed_weights(seed: int = 0) -> WeightStore:
     rng = np.random.default_rng(seed)
     store = WeightStore()
-    init_resnet(store, "embed.resnet", EMBED_WIDTHS, EMBED_BLOCKS, rng)
+    init_resnet(store, *EmbedNet.TRUNK, rng)
     stat_dim = 2 * EMBED_WIDTHS[-1] * _freq_out(EMBED_BINS)
     store.put("embed.fc.w", he_uniform(rng, (stat_dim, EMBED_DIM), stat_dim))
     store.put("embed.fc.b", np.zeros(EMBED_DIM, dtype=np.float32))
@@ -242,15 +292,17 @@ def init_embed_weights(seed: int = 0) -> WeightStore:
 class TsvadNet:
     """Per-frame target-speaker probability given a target embedding."""
 
+    TRUNK = ("tsvad.resnet", EMBED_WIDTHS, EMBED_BLOCKS)
+
     def __init__(self, store: WeightStore):
-        self.p = _Params(store)
+        self.p = _Params(store, *self.TRUNK)
 
     def identity_frames(self, features: FeatureMatrix) -> np.ndarray:
         """Frame-level 128-dim identity sequence from the residual stack."""
         if features.bins != EMBED_BINS:
             raise ShapeError(f"TsvadNet expects {EMBED_BINS} bins, got {features.bins}")
         x = features.data[None, :, :]
-        maps = resnet_forward(self.p, "tsvad.resnet", EMBED_WIDTHS, EMBED_BLOCKS, x)
+        maps = resnet_forward(self.p, *self.TRUNK, x)
         c, t, f = maps.shape
         flat = maps.transpose(1, 0, 2).reshape(t, c * f)
         return affine(flat, self.p["tsvad.id_fc.w"], self.p["tsvad.id_fc.b"])
@@ -276,7 +328,7 @@ class TsvadNet:
 def init_tsvad_weights(seed: int = 0) -> WeightStore:
     rng = np.random.default_rng(seed)
     store = WeightStore()
-    init_resnet(store, "tsvad.resnet", EMBED_WIDTHS, EMBED_BLOCKS, rng)
+    init_resnet(store, *TsvadNet.TRUNK, rng)
     flat_dim = EMBED_WIDTHS[-1] * _freq_out(EMBED_BINS)
     store.put("tsvad.id_fc.w", he_uniform(rng, (flat_dim, EMBED_DIM), flat_dim))
     store.put("tsvad.id_fc.b", np.zeros(EMBED_DIM, dtype=np.float32))

@@ -19,17 +19,15 @@ from .errors import EmptyInputError, NumericError, ShapeError
 
 
 def sigmoid(x):
+    """Logistic function without overflow: exp only ever sees -|x|."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def relu(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    """max(x, 0) in the dtype of a float input; other input gives float64."""
+    return np.maximum(x, 0.0)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -59,9 +57,14 @@ def conv2d(
     stride: tuple[int, int] = (1, 1),
     pad: str = "same",
 ) -> np.ndarray:
-    """Cross-correlate x[C_in,H,W] with kernel[C_out,C_in,kh,kw]."""
-    x = np.asarray(x, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
+    """Cross-correlate x[C_in,H,W] with kernel[C_out,C_in,kh,kw].
+
+    Computes in float32 when both x and kernel are float32, in float64
+    otherwise.
+    """
+    x, kernel = np.asarray(x), np.asarray(kernel)
+    dtype = np.float32 if x.dtype == kernel.dtype == np.float32 else np.float64
+    x, kernel = x.astype(dtype, copy=False), kernel.astype(dtype, copy=False)
     if x.ndim != 3 or kernel.ndim != 4:
         raise ShapeError("conv2d expects x[C,H,W] and kernel[Cout,Cin,kh,kw]")
     c_out, c_in, kh, kw = kernel.shape
@@ -115,10 +118,9 @@ def _lstm_direction(x: np.ndarray, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarr
     out = np.empty((t_len, hidden))
     for t in range(t_len):
         z = pre_x[t] + h @ w_h
-        i = sigmoid(z[:hidden])
-        f = sigmoid(z[hidden : 2 * hidden])
+        gates = sigmoid(z)  # the candidate's slice goes unused; one call beats three
+        i, f, o = gates[:hidden], gates[hidden : 2 * hidden], gates[3 * hidden :]
         g = np.tanh(z[2 * hidden : 3 * hidden])
-        o = sigmoid(z[3 * hidden :])
         c = f * c + i * g
         h = o * np.tanh(c)
         out[t] = h

@@ -17,6 +17,7 @@ load(save(w)) == w bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -94,13 +95,14 @@ def load_weights(path) -> WeightStore:
     data = Path(path).read_bytes()
     if len(data) < 8 or data[:4] != MAGIC:
         raise FormatError(f"{path}: not a weight file (bad magic)")
+    view = memoryview(data)  # slices share the file's bytes; each value is copied once
     pos = 4
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(data):
             raise FormatError(f"{path}: truncated at byte {pos}")
-        out = data[pos : pos + n]
+        out = view[pos : pos + n]
         pos += n
         return out
 
@@ -109,14 +111,14 @@ def load_weights(path) -> WeightStore:
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         try:
-            name = take(name_len).decode("utf-8")
+            name = str(take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(
                 f"{path}: entry name at byte {pos - name_len} is not valid UTF-8"
             ) from exc
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        size = math.prod(dims)
         raw = take(4 * size)
         arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
         store.put(name, arr)

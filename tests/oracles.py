@@ -11,6 +11,13 @@ now compares turns. `compute_der_grid_oracle` is the
 interval sweep in `diarkit.metrics.compute_der` replaced. The two
 `*_tracks_oracle` functions are the detectors' `tracks(buf, targets)`, which
 redid the per-recording work on every call, as `bind(buf)` replaced them.
+
+The float64 neural path that the float32 trunk replaced is kept verbatim as
+exact references: `sigmoid_masked_oracle` and `bilstm_masked_oracle` (the
+logistic with its two masked branches, and the LSTM that called it once per
+gate), `conv2d_tensordot_oracle` (the float64 `conv2d`), and
+`resnet_forward_oracle` (the trunk that ran each conv, then its batch norm,
+in float64 from the weight store).
 """
 
 import itertools
@@ -22,7 +29,8 @@ from diarkit.audio import FRAME_SHIFT_S, log_mel, mean_normalize, stft_magnitude
 from diarkit.clustering import Clustering
 from diarkit.errors import InputError, NumericError, ParameterError
 from diarkit.metrics import FRAME_S, DerReport
-from diarkit.models import EMBED_BINS
+from diarkit.models import EMBED_BINS, STAGE_STRIDES
+from diarkit.nn import batch_norm_infer
 from diarkit.segments import Diarization, Segment
 from diarkit.stubs import _band_profile
 
@@ -67,6 +75,96 @@ def batch_norm_oracle(x, gamma, beta, mean, var, eps=1e-5):
         for i in range(flat.shape[1]):
             out_flat[c, i] = (flat[c, i] - mean[c]) / math.sqrt(var[c] + eps) * gamma[c] + beta[c]
     return out
+
+
+def _same_pad(size, kernel, stride):
+    out = -(-size // stride)
+    total = max((out - 1) * stride + kernel - size, 0)
+    return total // 2, total - total // 2
+
+
+def conv2d_tensordot_oracle(x, kernel, stride=(1, 1), pad="same"):
+    """The float64 `conv2d`: strided windows contracted by `np.tensordot`."""
+    x = np.asarray(x, dtype=np.float64)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    c_out, c_in, kh, kw = kernel.shape
+    sh, sw = stride
+    if pad == "same":
+        x = np.pad(x, ((0, 0), _same_pad(x.shape[1], kh, sh), _same_pad(x.shape[2], kw, sw)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::sh, ::sw]
+    return np.tensordot(kernel, windows, axes=([1, 2, 3], [0, 3, 4]))
+
+
+def resnet_forward_oracle(store, prefix, widths, blocks, x):
+    """The float64 trunk: each conv, then its batch norm from the store's
+    statistics; x[1,T,F] in, [C_last, T, F'] out."""
+
+    def conv(name, v, stride=(1, 1)):
+        return conv2d_tensordot_oracle(v, store.get64(f"{name}.kernel"), stride)
+
+    def bn(name, v):
+        stats = (store.get64(f"{name}.{k}") for k in ("gamma", "beta", "mean", "var"))
+        return batch_norm_infer(v, *stats)
+
+    def relu(v):
+        return np.maximum(v, 0.0)
+
+    y = relu(bn(f"{prefix}.stem.bn", conv(f"{prefix}.stem.conv", x)))
+    in_ch = widths[0]
+    for s, (width, n_blocks) in enumerate(zip(widths, blocks)):
+        for b in range(n_blocks):
+            base = f"{prefix}.stage{s}.block{b}"
+            stride = STAGE_STRIDES[s] if b == 0 else (1, 1)
+            out = relu(bn(f"{base}.bn1", conv(f"{base}.conv1", y, stride)))
+            out = bn(f"{base}.bn2", conv(f"{base}.conv2", out))
+            if in_ch != width or stride != (1, 1):
+                shortcut = bn(f"{base}.down.bn", conv(f"{base}.down.conv", y, stride))
+            else:
+                shortcut = y
+            y = relu(out + shortcut)
+            in_ch = width
+    return y
+
+
+def sigmoid_masked_oracle(x):
+    """The logistic split by sign, each branch computed on its own mask."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _lstm_masked_direction(x, w_x, w_h, b, hidden):
+    pre_x = x @ w_x + b
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    out = np.empty((x.shape[0], hidden))
+    for t in range(x.shape[0]):
+        z = pre_x[t] + h @ w_h
+        i = sigmoid_masked_oracle(z[:hidden])
+        f = sigmoid_masked_oracle(z[hidden : 2 * hidden])
+        g = np.tanh(z[2 * hidden : 3 * hidden])
+        o = sigmoid_masked_oracle(z[3 * hidden :])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        out[t] = h
+    return out
+
+
+def bilstm_masked_oracle(x, params, hidden):
+    """The BiLSTM whose steps called the masked sigmoid once per gate."""
+    x = np.asarray(x, dtype=np.float64)
+
+    def p(name):
+        return np.asarray(params[name], dtype=np.float64)
+
+    fwd = _lstm_masked_direction(x, p("fw.w_x"), p("fw.w_h"), p("fw.b"), hidden)
+    bwd = _lstm_masked_direction(x[::-1], p("bw.w_x"), p("bw.w_h"), p("bw.b"), hidden)[::-1]
+    return np.concatenate([fwd, bwd], axis=1)
 
 
 def _sig(v):

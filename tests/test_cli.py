@@ -8,14 +8,20 @@ import pytest
 from diarkit.cli import main
 from diarkit.config import PipelineConfig
 from diarkit.metrics import RttmTurn, compute_der, emit_rttm, parse_rttm, turns_to_diarization
-from diarkit.models import EmbedNet, V2sScorer, init_embed_weights, init_vad_weights
+from diarkit.models import (
+    EmbedNet,
+    V2sScorer,
+    init_embed_weights,
+    init_tsvad_weights,
+    init_vad_weights,
+)
 from diarkit.pipeline import TASK1, Components, build_stub_components, run_pipeline
 from diarkit.audio import AudioBuffer, write_wav
 from diarkit.segments import Segment
 from diarkit.stubs import SpectralTsvad, reference_speech
 from diarkit.synth import SynthSpec, gen_audio_conversation
 from diarkit.vad import write_vad_file
-from diarkit.weights import WeightStore, save_weights
+from diarkit.weights import WeightStore, load_weights, save_weights
 
 
 @pytest.fixture()
@@ -478,20 +484,69 @@ class TestSetupErrors:
         assert "vad.bin" in line and "byte 12" in line
 
     def test_v2s_weights_missing_a_parameter(self, synth_dir, tmp_path, capsys):
-        # The nets are built lazily, so a one-entry store stands in for each.
-        save_weights(WeightStore({"x": np.ones(1)}), tmp_path / "net.bin")
-        scorer = V2sScorer.init(0).to_store()
-        partial = WeightStore({n: scorer.get(n) for n in scorer.names() if n != "v2s.fc3.b"})
-        save_weights(partial, tmp_path / "v2s.bin")
+        save_weights(init_embed_weights(0), tmp_path / "embed.bin")
+        save_weights(init_tsvad_weights(0), tmp_path / "tsvad.bin")
+        self._save_without(V2sScorer.init(0).to_store(), tmp_path / "v2s.bin", "v2s.fc3.b")
         cfg = tmp_path / "net.cfg"
         cfg.write_text(
-            f"embed_weights={tmp_path / 'net.bin'}\ntsvad_weights={tmp_path / 'net.bin'}\n"
+            f"embed_weights={tmp_path / 'embed.bin'}\ntsvad_weights={tmp_path / 'tsvad.bin'}\n"
             f"v2s_weights={tmp_path / 'v2s.bin'}\n",
             encoding="utf-8",
         )
         out_dir = tmp_path / "out"
         assert main(["diarize", str(synth_dir), "--out-dir", str(out_dir), "--config", str(cfg)]) == 2
         assert "fc3.b" in self._single_error_line(capsys, "diarize")
+
+    @staticmethod
+    def _save_without(store, path, name, value=None):
+        """`store` saved with entry `name` left out, or replaced by `value`."""
+        entries = {n: store.get(n) for n in store.names() if n != name}
+        if value is not None:
+            entries[name] = value
+        save_weights(WeightStore(entries), path)
+
+    def test_vad_weights_missing_batch_norm(self, tmp_path, capsys):
+        name = "vad.resnet.stage1.block0.bn1.var"
+        self._save_without(init_vad_weights(0), tmp_path / "vad.bin", name)
+        assert self._vad_run(tmp_path, f"vad_weights={tmp_path / 'vad.bin'}\n") == 2
+        assert f"missing weight '{name}'" in self._single_error_line(capsys, "vad")
+
+    def _diarize_task1(self, tmp_path, capsys, embed, tsvad) -> int:
+        """`diarize --mode task1` on one 20 s two-speaker call with these
+        embed and tsvad weight stores."""
+        data = tmp_path / "data"
+        args = ["--count", "1", "--speakers", "2", "--duration", "20", "--seed", "3"]
+        assert main(["synth", "--out-dir", str(data), *args]) == 0
+        capsys.readouterr()
+        save_weights(embed, tmp_path / "embed.bin")
+        save_weights(tsvad, tmp_path / "tsvad.bin")
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(
+            f"embed_weights={tmp_path / 'embed.bin'}\ntsvad_weights={tmp_path / 'tsvad.bin'}\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        return main(
+            [
+                "diarize", str(data), "--out-dir", str(out_dir), "--mode", "task1",
+                "--vad-dir", str(data), "--config", str(cfg),
+            ]
+        )
+
+    def test_embed_weights_batch_norm_length(self, tmp_path, capsys):
+        name = "embed.resnet.stage2.block3.bn2.mean"
+        self._save_without(init_embed_weights(0), tmp_path / "bad.bin", name, np.zeros(127))
+        assert self._diarize_task1(tmp_path, capsys, load_weights(tmp_path / "bad.bin"), init_tsvad_weights(0)) == 2
+        line = self._single_error_line(capsys, "diarize")
+        assert f"'{name}': shape (127,), expected (128,)" in line
+
+    def test_tsvad_weights_missing_batch_norm(self, tmp_path, capsys):
+        # No recording reaches the detector here: random embeddings cluster
+        # as one speaker. The missing entry must still fail at build.
+        name = "tsvad.resnet.stage1.block0.bn1.var"
+        self._save_without(init_tsvad_weights(0), tmp_path / "bad.bin", name)
+        assert self._diarize_task1(tmp_path, capsys, init_embed_weights(0), load_weights(tmp_path / "bad.bin")) == 2
+        assert f"missing weight '{name}'" in self._single_error_line(capsys, "diarize")
 
     def test_segment_shift_longer_than_window(self, tmp_path, capsys):
         buf, _ = gen_audio_conversation(SynthSpec(n_speakers=2, duration_s=6.0, seed=1))

@@ -1,6 +1,7 @@
 """Golden outputs: SHA-256 digests of the RTTMs and report lines that fixed
-synthetic recordings give with stub components, in task 1 and task 2, and
-of the RTTM the neural detector gives with fixed random weights.
+synthetic recordings give with stub components, in task 1 and task 2; the
+RTTMs the neural detector and the neural embedder give with fixed random
+weights; and the speech regions of the neural VAD.
 
 A refactor or an exact speed-up leaves every digest unchanged; a change that
 alters outputs on purpose updates them and says why. The report digests also
@@ -16,11 +17,26 @@ import pytest
 
 from diarkit.audio import write_wav
 from diarkit.config import PipelineConfig
-from diarkit.models import TsvadNet, init_tsvad_weights
-from diarkit.pipeline import TASK1, TASK2, Components, build_stub_components, run_pipeline
-from diarkit.stubs import SpectralEmbedder, reference_speech
+from diarkit.models import (
+    EmbedNet,
+    TsvadNet,
+    init_embed_weights,
+    init_tsvad_weights,
+    init_vad_weights,
+)
+from diarkit.pipeline import (
+    TASK1,
+    TASK2,
+    Components,
+    build_net_vad,
+    build_stub_components,
+    run_pipeline,
+    speech_regions_for,
+)
+from diarkit.stubs import SpectralEmbedder, SpectralTsvad, reference_speech
 from diarkit.synth import SynthSpec, gen_audio_conversation
 from diarkit.vad import write_vad_file
+from diarkit.weights import save_weights
 
 RECORDINGS = {
     # a narrowband two-speaker call with overlapped turns
@@ -65,6 +81,19 @@ GOLDEN = {
 # detector runs four rounds.
 NET_RECORDING = SynthSpec(n_speakers=2, duration_s=2.0, turn_min_s=0.5, turn_max_s=1.0, seed=32)
 NET_GOLDEN_RTTM = "8627b192138308aa1ee81375c0914978cbe8f81fcce541add2ec843ad9f166f2"
+
+# A 4 s wideband three-speaker talk through `EmbedNet` with the weights of
+# `init_embed_weights(0)`. The random embeddings cluster as one speaker.
+NET_EMBED_RECORDING = SynthSpec(
+    n_speakers=3, duration_s=4.0, turn_min_s=0.8, turn_max_s=1.6, noise_sigma=0.4, seed=33
+)
+NET_EMBED_GOLDEN_RTTM = "a0660196b9ac69c55f4e33b0731194f6835674be29aa0b0ea76b00e97fe4c3dc"
+
+# The speech regions `VadNet` finds with the weights of `init_vad_weights(0)`,
+# which score this recording's frames between 0.34 and 0.51, at a threshold
+# inside that range.
+NET_VAD_RECORDING = SynthSpec(n_speakers=2, duration_s=6.0, seed=3)
+NET_VAD_GOLDEN = [(0.12, 0.29), (2.75, 5.69), (5.82, 5.98)]
 
 
 def _sha(data: bytes) -> str:
@@ -115,3 +144,30 @@ def test_golden_net_detector(tmp_path):
     )
     assert (result.status, result.bandwidth, result.rounds) == ("ok", "CTS", 4), result
     assert _sha((tmp_path / "net2.rttm").read_bytes()) == NET_GOLDEN_RTTM
+
+
+def test_golden_net_embedder(tmp_path):
+    buf, ref = gen_audio_conversation(NET_EMBED_RECORDING, recording_id="wb3")
+    write_wav(tmp_path / "wb3.wav", buf)
+    write_vad_file(tmp_path / "wb3.vad", reference_speech(ref.turns))
+    components = Components(EmbedNet(init_embed_weights(0)), SpectralTsvad())
+    [result] = run_pipeline(
+        [tmp_path / "wb3.wav"], tmp_path, TASK1, components, PipelineConfig(),
+        {"wb3": tmp_path / "wb3.vad"},
+    )
+    assert (result.status, result.bandwidth) == ("ok", "NCTS"), result
+    assert _sha((tmp_path / "wb3.rttm").read_bytes()) == NET_EMBED_GOLDEN_RTTM
+
+
+def test_golden_net_vad(tmp_path):
+    save_weights(init_vad_weights(0), tmp_path / "vad.bin")
+    cfg = PipelineConfig(
+        vad_weights=str(tmp_path / "vad.bin"),
+        vad_window_s=2.0,
+        vad_shift_s=1.0,
+        vad_threshold=0.41,
+    )
+    buf, _ = gen_audio_conversation(NET_VAD_RECORDING)
+    components = Components(None, None, build_net_vad(cfg))
+    regions = speech_regions_for(buf, TASK2, None, components, cfg)
+    assert [(s.start_s, s.end_s) for s in regions] == NET_VAD_GOLDEN

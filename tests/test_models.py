@@ -1,9 +1,10 @@
-"""Model assemblies: shape laws, output ranges, weight plumbing, and the
-scorer's analytic gradients."""
+"""Model assemblies: shape laws, output ranges, weight plumbing, the float32
+trunk against the float64 reference, and the scorer's analytic gradients."""
 
 import numpy as np
 import pytest
 
+from diarkit import models
 from diarkit.audio import FeatureMatrix
 from diarkit.errors import EmptyInputError, ShapeError
 from diarkit.models import (
@@ -16,7 +17,8 @@ from diarkit.models import (
     init_vad_weights,
 )
 from diarkit.nn import finite_diff_check
-from diarkit.weights import load_weights, save_weights
+from diarkit.weights import WeightStore, load_weights, save_weights
+from oracles import resnet_forward_oracle
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +124,132 @@ class TestTsvadNet:
         a = net.detect(identity, rng.normal(size=128))
         b = net.detect(identity, np.zeros(128))
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+# (model class, weight init, feature bins, the call that runs its trunk)
+TRUNK_MODELS = [
+    (VadNet, init_vad_weights, 32, VadNet.forward),
+    (EmbedNet, init_embed_weights, 80, EmbedNet.forward),
+    (TsvadNet, init_tsvad_weights, 80, TsvadNet.identity_frames),
+]
+
+
+class TestFoldAtBuild:
+    """Batch norm is folded into the conv kernels when a model is built; the
+    trunk then runs every conv in float32 and no batch norm."""
+
+    @pytest.mark.parametrize("cls, init, bins, run", TRUNK_MODELS, ids=["vad", "embed", "tsvad"])
+    def test_batch_norm_at_build_float32_convs_at_forward(self, monkeypatch, cls, init, bins, run):
+        bn_calls, conv_dtypes = [], []
+        batch_norm, conv2d = models.batch_norm_infer, models.conv2d
+
+        def counted_bn(*args, **kwargs):
+            bn_calls.append(args)
+            return batch_norm(*args, **kwargs)
+
+        def spied_conv(x, kernel, *args):
+            conv_dtypes.append((x.dtype, kernel.dtype))
+            return conv2d(x, kernel, *args)
+
+        monkeypatch.setattr(models, "batch_norm_infer", counted_bn)
+        monkeypatch.setattr(models, "conv2d", spied_conv)
+        net = cls(init(0))
+        n_convs = len(net.p.convs)
+        assert len(bn_calls) == 2 * n_convs  # one for the scale, one for the bias
+        trunk = cls.TRUNK[0] + "."
+        assert not [name for name in net.p._arrays if name.startswith(trunk)]
+        assert conv_dtypes == []
+        bn_calls.clear()
+        run(net, feats(np.random.default_rng(0), 30, bins))
+        assert bn_calls == []
+        assert conv_dtypes == [(np.float32, np.float32)] * n_convs
+
+
+class TestTrunkValidation:
+    """Every trunk entry is checked when the model is built."""
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("stage1.block0.bn1.var", None, "missing weight '{}'"),
+            ("stem.bn.gamma", np.ones(15), "'{}': shape (15,), expected (16,)"),
+            ("stage3.block1.conv2.kernel", None, "missing weight '{}'"),
+            ("stage2.block0.down.conv.kernel", np.ones((64, 32, 3, 3)),
+             "'{}': shape (64, 32, 3, 3), expected (64, 32, 1, 1)"),
+        ],
+        ids=["missing-bn", "bn-length", "missing-kernel", "kernel-shape"],
+    )
+    def test_bad_entry_raises_shape_error_naming_it(self, name, value, message):
+        name = f"vad.resnet.{name}"
+        message = message.format(name)
+        store = init_vad_weights(0)
+        entries = {n: store.get(n) for n in store.names() if n != name}
+        if value is not None:
+            entries[name] = value
+        with pytest.raises(ShapeError) as err:
+            VadNet(WeightStore(entries))
+        assert message in str(err.value)
+
+
+class TestFloat32Drift:
+    """The float32 forwards against the same models run on the float64
+    conv-then-batch-norm trunk of `oracles.resnet_forward_oracle`.
+
+    Bounds, set from float32's unit roundoff (6e-8) over a trunk of 20-36
+    convs: trunk maps, identity frames and embeddings within 1e-5 of their
+    largest reference magnitude; detection probabilities within 1e-4 and
+    VAD probabilities within 1e-5, absolute. These cases measure at most
+    9.6e-7 (VAD trunk), 9.9e-7 (identity), 2.5e-7 (embedding), 8.8e-6
+    (detection) and 4.9e-7 (VAD).
+    """
+
+    REL = 1e-5
+    DETECT_ABS = 1e-4
+    VAD_ABS = 1e-5
+
+    @staticmethod
+    def reference(monkeypatch, store, call):
+        with monkeypatch.context() as m:
+            m.setattr(
+                models, "resnet_forward", lambda p, *trunk: resnet_forward_oracle(store, *trunk)
+            )
+            return call()
+
+    def assert_relative(self, got, want):
+        assert np.abs(got - want).max() <= self.REL * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vad(self, monkeypatch, seed):
+        store = init_vad_weights(seed)
+        net = VadNet(store)
+        f = feats(np.random.default_rng(100 + seed), 60, 32)
+        x = f.data[None]
+        self.assert_relative(
+            models.resnet_forward(net.p, *net.TRUNK, x), resnet_forward_oracle(store, *net.TRUNK, x)
+        )
+        want = self.reference(monkeypatch, store, lambda: net.forward(f))
+        assert np.abs(net.forward(f) - want).max() <= self.VAD_ABS
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_embed(self, monkeypatch, seed):
+        store = init_embed_weights(seed)
+        net = EmbedNet(store)
+        f = feats(np.random.default_rng(200 + seed), 40, 80)
+        want = self.reference(monkeypatch, store, lambda: net.forward(f))
+        self.assert_relative(net.forward(f), want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tsvad(self, monkeypatch, seed):
+        store = init_tsvad_weights(seed)
+        net = TsvadNet(store)
+        rng = np.random.default_rng(300 + seed)
+        f = feats(rng, 40, 80)
+        identity = net.identity_frames(f)
+        want = self.reference(monkeypatch, store, lambda: net.identity_frames(f))
+        self.assert_relative(identity, want)
+        target = rng.normal(size=128)
+        drift = np.abs(net.detect(identity, target) - net.detect(want, target)).max()
+        assert drift <= self.DETECT_ABS
 
 
 class TestV2sScorer:

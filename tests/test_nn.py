@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarkit.errors import EmptyInputError, ShapeError
 from diarkit.nn import (
@@ -21,8 +23,11 @@ from oracles import (
     attention_oracle,
     avg_pool_freq_oracle,
     batch_norm_oracle,
+    bilstm_masked_oracle,
     bilstm_oracle,
     conv2d_oracle,
+    conv2d_tensordot_oracle,
+    sigmoid_masked_oracle,
     stat_pool_oracle,
 )
 
@@ -90,6 +95,54 @@ class TestConv2d:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)))
+
+
+@st.composite
+def conv_cases(draw):
+    """(x, kernel, stride, pad) of normal draws, 1-3 channels each way."""
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pad = draw(st.sampled_from(["same", "valid"]))
+    low_h, low_w = (1, 1) if pad == "same" else (kh, kw)
+    shape_x = (draw(st.integers(1, 3)), draw(st.integers(low_h, 9)), draw(st.integers(low_w, 9)))
+    shape_k = (draw(st.integers(1, 3)), shape_x[0], kh, kw)
+    stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=shape_x), rng.normal(size=shape_k), stride, pad
+
+
+class TestConv2dDtypes:
+    """Float64 input keeps the tensordot path bit for bit; float32 input
+    computes in float32."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(conv_cases())
+    def test_float64_is_byte_identical_to_tensordot(self, case):
+        x, kernel, stride, pad = case
+        got = conv2d(x, kernel, stride, pad)
+        want = conv2d_tensordot_oracle(x, kernel, stride, pad)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(conv_cases())
+    def test_float32_within_1e5_of_oracle(self, case):
+        x, kernel, stride, pad = (case[0].astype(np.float32), case[1].astype(np.float32)) + case[2:]
+        got = conv2d(x, kernel, stride, pad)
+        assert got.dtype == np.float32
+        x64, k64 = x.astype(np.float64), kernel.astype(np.float64)
+        want = conv2d_oracle(x64, k64, stride, pad)
+        # Relative to each output's sum of |products|, which bounds the
+        # rounding error of any order of summation.
+        scale = conv2d_oracle(np.abs(x64), np.abs(k64), stride, pad)
+        assert np.all(np.abs(got - want) <= 1e-5 * scale)
+
+    def test_mixed_dtypes_compute_in_float64(self):
+        rng = np.random.default_rng(16)
+        x, kernel = rng.normal(size=(2, 5, 5)), rng.normal(size=(3, 2, 3, 3))
+        want = conv2d_tensordot_oracle(x.astype(np.float32), kernel)
+        got = conv2d(x.astype(np.float32), kernel)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert conv2d(x, kernel.astype(np.float32)).dtype == np.float64
 
 
 class TestBatchNorm:
@@ -167,6 +220,20 @@ class TestBilstm:
         params = lstm_params(np.random.default_rng(0), d=3, hidden=2)
         with pytest.raises(ShapeError):
             bilstm_forward(np.zeros((4, 5)), params, hidden=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(1, 8), st.integers(1, 12),
+        st.sampled_from([0.4, 4.0, 400.0]), st.integers(0, 2**32 - 1),
+    )
+    def test_equal_to_the_per_gate_masked_sigmoid(self, d, hidden, t, scale, seed):
+        # Scale 400 drives gate inputs past |z| = 700, where exp underflows.
+        rng = np.random.default_rng(seed)
+        params = lstm_params(rng, d, hidden, scale=scale)
+        x = rng.normal(size=(t, d))
+        np.testing.assert_array_equal(
+            bilstm_forward(x, params, hidden), bilstm_masked_oracle(x, params, hidden)
+        )
 
 
 class TestAttention:
@@ -255,8 +322,44 @@ class TestElementwise:
         assert 0.0 <= out[0] < 1e-12
         assert 1.0 - 1e-12 < out[1] <= 1.0
 
+    def test_sigmoid_bytes_equal_masked_form_on_a_million_values(self):
+        rng = np.random.default_rng(17)
+        x = np.concatenate([
+            [0.0, -0.0, 700.0, -700.0, 745.2, -745.2, 1000.0, -1000.0],
+            rng.normal(0.0, 1.0, 400_000),
+            rng.normal(0.0, 40.0, 400_000),
+            rng.uniform(-1200.0, 1200.0, 199_992),
+        ])
+        assert sigmoid(x).tobytes() == sigmoid_masked_oracle(x).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 700.0, -700.0, 1000.0, -1000.0]),
+            st.floats(700.0, 1e6).flatmap(lambda v: st.sampled_from([v, -v])),
+        ),
+        min_size=1, max_size=40,
+    ))
+    def test_sigmoid_bytes_equal_masked_form(self, values):
+        x = np.array(values)
+        assert sigmoid(x).tobytes() == sigmoid_masked_oracle(x).tobytes()
+
     def test_relu(self):
         np.testing.assert_allclose(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "x, dtype",
+        [
+            (np.array([-1.0, 2.0], dtype=np.float32), np.float32),
+            (np.array([-1.0, 2.0]), np.float64),
+            ([-1, 2], np.float64),
+        ],
+    )
+    def test_relu_keeps_float_dtype(self, x, dtype):
+        out = relu(x)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, [0.0, 2.0])
 
     def test_affine_identity(self):
         x = np.random.default_rng(15).normal(size=(4, 3))
