@@ -69,7 +69,7 @@ def _load_cfg(args) -> PipelineConfig:
 
 def _components(args, cfg: PipelineConfig):
     if getattr(args, "stub_embeddings", False):
-        return build_stub_components()
+        return build_stub_components(cfg)
     return build_net_components(cfg)
 
 

@@ -19,7 +19,8 @@ largest magnitude for trunk maps, identity frames and embeddings, 1e-4 for
 detection probabilities and 1e-5 for VAD probabilities.
 
 Weight names are dot-paths under a per-model prefix, e.g.
-"embed.resnet.stage2.block0.conv1.kernel"; see init_* for the full set.
+"embed.resnet.stage2.block0.conv1.kernel"; each model's SPEC lists the full
+set with its shapes and seeded init.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ V2S_FC1 = 256
 V2S_HEADS = 2
 V2S_ATT = 128
 V2S_FC2 = 1024
-V2S_PREFIX = "v2s"
+_HEAD_WEIGHTS = tuple(f"h{h}.{kind}" for h in range(V2S_HEADS) for kind in ("wq", "wk", "wv"))
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +73,6 @@ def _freq_out(bins: int) -> int:
     for _, sw in STAGE_STRIDES:
         f = -(-f // sw)
     return f
-
-
-def _init_bn(store: WeightStore, name: str, ch: int) -> None:
-    store.put(f"{name}.gamma", np.ones(ch, dtype=np.float32))
-    store.put(f"{name}.beta", np.zeros(ch, dtype=np.float32))
-    store.put(f"{name}.mean", np.zeros(ch, dtype=np.float32))
-    store.put(f"{name}.var", np.ones(ch, dtype=np.float32))
 
 
 def _resnet_blocks(widths, blocks):
@@ -93,8 +87,7 @@ def _resnet_blocks(widths, blocks):
 
 
 def _resnet_convs(widths, blocks):
-    """(conv name, batch-norm name, kernel shape) of each conv, stem first,
-    in the order `init_resnet` draws their kernels."""
+    """(conv name, batch-norm name, kernel shape) of each conv, stem first."""
     yield "stem.conv", "stem.bn", (widths[0], 1, 3, 3)
     for base, in_ch, width, _, projected in _resnet_blocks(widths, blocks):
         yield f"{base}.conv1", f"{base}.bn1", (width, in_ch, 3, 3)
@@ -103,23 +96,59 @@ def _resnet_convs(widths, blocks):
             yield f"{base}.down.conv", f"{base}.down.bn", (width, in_ch, 1, 1)
 
 
-def init_resnet(store: WeightStore, prefix: str, widths, blocks, rng) -> None:
+# A weight spec lists a network's entries as (name, shape, init), in the order
+# their seeded values are drawn: an int init is the fan-in of a `he_uniform`
+# draw, a float init a constant fill that draws nothing.
+
+
+def _resnet_spec(prefix: str, widths, blocks):
+    """Each conv's kernel, then its batch norm at the identity."""
     for conv, bn, shape in _resnet_convs(widths, blocks):
         c_out, c_in, k, _ = shape
-        store.put(f"{prefix}.{conv}.kernel", he_uniform(rng, shape, c_in * k * k))
-        _init_bn(store, f"{prefix}.{bn}", c_out)
+        yield f"{prefix}.{conv}.kernel", shape, c_in * k * k
+        for key, fill in (("gamma", 1.0), ("beta", 0.0), ("mean", 0.0), ("var", 1.0)):
+            yield f"{prefix}.{bn}.{key}", (c_out,), fill
 
 
-def _checked(store: WeightStore, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    if name not in store:
-        raise ShapeError(f"missing weight {name!r}")
-    value = store.get(name)
-    if value.shape != shape:
-        raise ShapeError(f"weight {name!r}: shape {value.shape}, expected {shape}")
-    return value
+def _lstm_spec(prefix: str, d_in: int, hidden: int, layers: int):
+    d = d_in
+    for layer in range(layers):
+        for direction in ("fw", "bw"):
+            base = f"{prefix}.l{layer}.{direction}"
+            yield f"{base}.w_x", (d, 4 * hidden), d
+            yield f"{base}.w_h", (hidden, 4 * hidden), hidden
+            yield f"{base}.b", (4 * hidden,), 0.0
+        d = 2 * hidden
 
 
-def _fold_conv_bn(store: WeightStore, conv: str, bn: str, shape) -> tuple[np.ndarray, np.ndarray]:
+def _dense_spec(prefix: str, d_in: int, d_out: int):
+    yield f"{prefix}.w", (d_in, d_out), d_in
+    yield f"{prefix}.b", (d_out,), 0.0
+
+
+def init_weights(spec, seed: int) -> WeightStore:
+    """Seeded weights for every entry of `spec`, drawn in spec order."""
+    rng = np.random.default_rng(seed)
+    return WeightStore(
+        {
+            name: he_uniform(rng, shape, init) if isinstance(init, int) else np.full(shape, init)
+            for name, shape, init in spec
+        }
+    )
+
+
+def _check(store: WeightStore, spec) -> None:
+    """Raise ShapeError, naming the entry, unless `store` holds every entry of
+    `spec` at its shape."""
+    for name, shape, _ in spec:
+        if name not in store:
+            raise ShapeError(f"missing weight {name!r}")
+        got = store.get(name).shape
+        if got != shape:
+            raise ShapeError(f"weight {name!r}: shape {got}, expected {shape}")
+
+
+def _fold_conv_bn(store: WeightStore, conv: str, bn: str) -> tuple[np.ndarray, np.ndarray]:
     """Kernel and bias of `conv` followed by `bn`, as one float32 conv.
 
     Batch norm scales each output channel by gamma / sqrt(var + eps) and
@@ -128,46 +157,38 @@ def _fold_conv_bn(store: WeightStore, conv: str, bn: str, shape) -> tuple[np.nda
     float64; the float32 kernel is multiplied by the scale rounded to
     float32, one pass that keeps the build cheaper than a float64 copy.
     """
-    kernel = _checked(store, f"{conv}.kernel", shape)
-    gamma, beta, mean, var = (
-        _checked(store, f"{bn}.{k}", shape[:1]) for k in ("gamma", "beta", "mean", "var")
-    )
-    zero = np.zeros(shape[0])
-    scale = batch_norm_infer(np.ones(shape[0]), gamma, zero, zero, var).astype(np.float32)
+    kernel = store.get(f"{conv}.kernel")
+    gamma, beta, mean, var = (store.get(f"{bn}.{k}") for k in ("gamma", "beta", "mean", "var"))
+    zero = np.zeros(kernel.shape[0])
+    scale = batch_norm_infer(np.ones(kernel.shape[0]), gamma, zero, zero, var).astype(np.float32)
     bias = batch_norm_infer(zero, gamma, beta, mean, var).astype(np.float32)
     return kernel * scale[:, None, None, None], bias.reshape(-1, 1, 1)
 
 
-class _Params:
+def _params(store: WeightStore, spec, trunk) -> dict:
     """A model's weights, read once when it is built.
 
-    The ResNet trunk under `prefix` becomes one float32 kernel and bias per
-    conv, with its batch norm folded in. Every trunk entry is checked against
-    the trunk's shapes here, so a bad file fails before any audio is read.
-    The other entries are kept as float64 arrays.
+    Every entry of `spec` is checked here, so a bad file fails before any
+    audio is read, and only spec entries are kept. Each conv of the ResNet
+    `trunk` becomes one float32 (kernel, bias) pair under its conv name, with
+    its batch norm folded in; the other entries become float64 arrays.
     """
-
-    def __init__(self, store: WeightStore, prefix: str, widths, blocks):
-        self.convs = {
-            f"{prefix}.{conv}": _fold_conv_bn(store, f"{prefix}.{conv}", f"{prefix}.{bn}", shape)
-            for conv, bn, shape in _resnet_convs(widths, blocks)
-        }
-        self._arrays = {
-            name: store.get64(name) for name in store.names() if not name.startswith(f"{prefix}.")
-        }
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self._arrays:
-            raise ShapeError(f"missing weight {name!r}")
-        return self._arrays[name]
+    _check(store, spec)
+    prefix, widths, blocks = trunk
+    p = {
+        f"{prefix}.{conv}": _fold_conv_bn(store, f"{prefix}.{conv}", f"{prefix}.{bn}")
+        for conv, bn, _ in _resnet_convs(widths, blocks)
+    }
+    p.update((name, store.get64(name)) for name, _, _ in spec if not name.startswith(f"{prefix}."))
+    return p
 
 
-def _conv(p: _Params, name: str, x: np.ndarray, stride=(1, 1)) -> np.ndarray:
-    kernel, bias = p.convs[name]
+def _conv(p: dict, name: str, x: np.ndarray, stride=(1, 1)) -> np.ndarray:
+    kernel, bias = p[name]
     return conv2d(x, kernel, stride) + bias
 
 
-def resnet_forward(p: _Params, prefix: str, widths, blocks, x: np.ndarray) -> np.ndarray:
+def resnet_forward(p: dict, prefix: str, widths, blocks, x: np.ndarray) -> np.ndarray:
     """Run the residual stack on x[1,T,F] in float32; returns [C_last, T, F']
     in float64."""
     y = relu(_conv(p, f"{prefix}.stem.conv", x.astype(np.float32)))
@@ -179,32 +200,11 @@ def resnet_forward(p: _Params, prefix: str, widths, blocks, x: np.ndarray) -> np
     return y.astype(np.float64)
 
 
-def _init_lstm_stack(store: WeightStore, prefix: str, d_in: int, hidden: int, layers: int, rng) -> None:
-    d = d_in
-    for layer in range(layers):
-        for direction in ("fw", "bw"):
-            base = f"{prefix}.l{layer}.{direction}"
-            store.put(f"{base}.w_x", he_uniform(rng, (d, 4 * hidden), d))
-            store.put(f"{base}.w_h", he_uniform(rng, (hidden, 4 * hidden), hidden))
-            store.put(f"{base}.b", np.zeros(4 * hidden, dtype=np.float32))
-        d = 2 * hidden
-
-
-def _lstm_stack(p: _Params, prefix: str, hidden: int, layers: int, x: np.ndarray) -> np.ndarray:
+def _lstm_stack(p: dict, prefix: str, hidden: int, layers: int, x: np.ndarray) -> np.ndarray:
     for layer in range(layers):
         base = f"{prefix}.l{layer}"
-        x = bilstm_forward(
-            x,
-            {
-                "fw.w_x": p[f"{base}.fw.w_x"],
-                "fw.w_h": p[f"{base}.fw.w_h"],
-                "fw.b": p[f"{base}.fw.b"],
-                "bw.w_x": p[f"{base}.bw.w_x"],
-                "bw.w_h": p[f"{base}.bw.w_h"],
-                "bw.b": p[f"{base}.bw.b"],
-            },
-            hidden,
-        )
+        params = {f"{d}.{w}": p[f"{base}.{d}.{w}"] for d in ("fw", "bw") for w in ("w_x", "w_h", "b")}
+        x = bilstm_forward(x, params, hidden)
     return x
 
 
@@ -216,9 +216,15 @@ class VadNet:
     """Frame-level speech probability from 32-bin features."""
 
     TRUNK = ("vad.resnet", VAD_WIDTHS, VAD_BLOCKS)
+    SPEC = (
+        *_resnet_spec(*TRUNK),
+        *_lstm_spec("vad.lstm", VAD_WIDTHS[-1], VAD_LSTM_HIDDEN, 2),
+        *_dense_spec("vad.fc1", 2 * VAD_LSTM_HIDDEN, 64),
+        *_dense_spec("vad.fc2", 64, 1),
+    )
 
     def __init__(self, store: WeightStore):
-        self.p = _Params(store, *self.TRUNK)
+        self.p = _params(store, self.SPEC, self.TRUNK)
 
     def forward(self, features: FeatureMatrix) -> np.ndarray:
         if features.bins != VAD_BINS:
@@ -232,15 +238,7 @@ class VadNet:
 
 
 def init_vad_weights(seed: int = 0) -> WeightStore:
-    rng = np.random.default_rng(seed)
-    store = WeightStore()
-    init_resnet(store, *VadNet.TRUNK, rng)
-    _init_lstm_stack(store, "vad.lstm", VAD_WIDTHS[-1], VAD_LSTM_HIDDEN, 2, rng)
-    store.put("vad.fc1.w", he_uniform(rng, (2 * VAD_LSTM_HIDDEN, 64), 2 * VAD_LSTM_HIDDEN))
-    store.put("vad.fc1.b", np.zeros(64, dtype=np.float32))
-    store.put("vad.fc2.w", he_uniform(rng, (64, 1), 64))
-    store.put("vad.fc2.b", np.zeros(1, dtype=np.float32))
-    return store
+    return init_weights(VadNet.SPEC, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +249,13 @@ class EmbedNet:
     """128-dim speaker embedding from 80-bin features."""
 
     TRUNK = ("embed.resnet", EMBED_WIDTHS, EMBED_BLOCKS)
+    SPEC = (
+        *_resnet_spec(*TRUNK),
+        *_dense_spec("embed.fc", 2 * EMBED_WIDTHS[-1] * _freq_out(EMBED_BINS), EMBED_DIM),
+    )
 
     def __init__(self, store: WeightStore):
-        self.p = _Params(store, *self.TRUNK)
+        self.p = _params(store, self.SPEC, self.TRUNK)
 
     def forward(self, features: FeatureMatrix) -> np.ndarray:
         if features.bins != EMBED_BINS:
@@ -276,13 +278,7 @@ class EmbedNet:
 
 
 def init_embed_weights(seed: int = 0) -> WeightStore:
-    rng = np.random.default_rng(seed)
-    store = WeightStore()
-    init_resnet(store, *EmbedNet.TRUNK, rng)
-    stat_dim = 2 * EMBED_WIDTHS[-1] * _freq_out(EMBED_BINS)
-    store.put("embed.fc.w", he_uniform(rng, (stat_dim, EMBED_DIM), stat_dim))
-    store.put("embed.fc.b", np.zeros(EMBED_DIM, dtype=np.float32))
-    return store
+    return init_weights(EmbedNet.SPEC, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +289,15 @@ class TsvadNet:
     """Per-frame target-speaker probability given a target embedding."""
 
     TRUNK = ("tsvad.resnet", EMBED_WIDTHS, EMBED_BLOCKS)
+    SPEC = (
+        *_resnet_spec(*TRUNK),
+        *_dense_spec("tsvad.id_fc", EMBED_WIDTHS[-1] * _freq_out(EMBED_BINS), EMBED_DIM),
+        *_lstm_spec("tsvad.lstm", 2 * EMBED_DIM, TSVAD_LSTM_HIDDEN, 2),
+        *_dense_spec("tsvad.fc", 2 * TSVAD_LSTM_HIDDEN, 1),
+    )
 
     def __init__(self, store: WeightStore):
-        self.p = _Params(store, *self.TRUNK)
+        self.p = _params(store, self.SPEC, self.TRUNK)
 
     def identity_frames(self, features: FeatureMatrix) -> np.ndarray:
         """Frame-level 128-dim identity sequence from the residual stack."""
@@ -326,16 +328,7 @@ class TsvadNet:
 
 
 def init_tsvad_weights(seed: int = 0) -> WeightStore:
-    rng = np.random.default_rng(seed)
-    store = WeightStore()
-    init_resnet(store, *TsvadNet.TRUNK, rng)
-    flat_dim = EMBED_WIDTHS[-1] * _freq_out(EMBED_BINS)
-    store.put("tsvad.id_fc.w", he_uniform(rng, (flat_dim, EMBED_DIM), flat_dim))
-    store.put("tsvad.id_fc.b", np.zeros(EMBED_DIM, dtype=np.float32))
-    _init_lstm_stack(store, "tsvad.lstm", 2 * EMBED_DIM, TSVAD_LSTM_HIDDEN, 2, rng)
-    store.put("tsvad.fc.w", he_uniform(rng, (2 * TSVAD_LSTM_HIDDEN, 1), 2 * TSVAD_LSTM_HIDDEN))
-    store.put("tsvad.fc.b", np.zeros(1, dtype=np.float32))
-    return store
+    return init_weights(TsvadNet.SPEC, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -352,48 +345,31 @@ class V2sScorer:
     implements the analytic backward pass used by SGD and gradient checks.
     """
 
-    PARAM_NAMES = (
-        "fc1.w", "fc1.b",
-        "att.h0.wq", "att.h0.wk", "att.h0.wv",
-        "att.h1.wq", "att.h1.wk", "att.h1.wv",
-        "att.wo", "att.bo",
-        "fc2.w", "fc2.b", "fc3.w", "fc3.b",
+    SPEC = (
+        *_dense_spec("v2s.fc1", V2S_IN, V2S_FC1),
+        ("v2s.att.wo", (V2S_ATT, V2S_FC1), V2S_ATT),
+        ("v2s.att.bo", (V2S_FC1,), 0.0),
+        *_dense_spec("v2s.fc2", V2S_FC1, V2S_FC2),
+        *_dense_spec("v2s.fc3", V2S_FC2, 1),
+        *((f"v2s.att.{n}", (V2S_FC1, V2S_ATT // V2S_HEADS), V2S_FC1) for n in _HEAD_WEIGHTS),
     )
 
     def __init__(self, params: dict[str, np.ndarray]):
-        missing = [n for n in self.PARAM_NAMES if n not in params]
-        if missing:
-            raise ShapeError(f"scorer missing parameters: {missing}")
-        self.params = {n: np.array(params[n], dtype=np.float64) for n in self.PARAM_NAMES}
+        self.params = {n: np.array(v, dtype=np.float64) for n, v in params.items()}
 
     @classmethod
     def init(cls, seed: int = 0) -> "V2sScorer":
-        rng = np.random.default_rng(seed)
-        d_head = V2S_ATT // V2S_HEADS
-        p = {
-            "fc1.w": he_uniform(rng, (V2S_IN, V2S_FC1), V2S_IN),
-            "fc1.b": np.zeros(V2S_FC1, dtype=np.float32),
-            "att.wo": he_uniform(rng, (V2S_ATT, V2S_FC1), V2S_ATT),
-            "att.bo": np.zeros(V2S_FC1, dtype=np.float32),
-            "fc2.w": he_uniform(rng, (V2S_FC1, V2S_FC2), V2S_FC1),
-            "fc2.b": np.zeros(V2S_FC2, dtype=np.float32),
-            "fc3.w": he_uniform(rng, (V2S_FC2, 1), V2S_FC2),
-            "fc3.b": np.zeros(1, dtype=np.float32),
-        }
-        for h in range(V2S_HEADS):
-            for kind in ("wq", "wk", "wv"):
-                p[f"att.h{h}.{kind}"] = he_uniform(rng, (V2S_FC1, d_head), V2S_FC1)
-        return cls(p)
+        return cls.from_store(init_weights(cls.SPEC, seed))
 
     @classmethod
     def from_store(cls, store: WeightStore) -> "V2sScorer":
-        """The scorer from the entries under `v2s.`; a missing one raises
-        ShapeError."""
-        sub = store.subset(V2S_PREFIX)
-        return cls({n: sub.get(n) for n in sub.names()})
+        """The scorer from the SPEC entries of `store`; a missing or
+        misshapen one raises ShapeError."""
+        _check(store, cls.SPEC)
+        return cls({name.removeprefix("v2s."): store.get(name) for name, _, _ in cls.SPEC})
 
     def to_store(self) -> WeightStore:
-        return WeightStore({f"{V2S_PREFIX}.{n}": v for n, v in self.params.items()})
+        return WeightStore({f"v2s.{n}": v for n, v in self.params.items()})
 
     def _forward(self, m: np.ndarray) -> dict:
         m = np.asarray(m, dtype=np.float64)
@@ -401,9 +377,8 @@ class V2sScorer:
             raise ShapeError(f"scorer input must be [n, {V2S_IN}], got {m.shape}")
         p = self.params
         h0 = m @ p["fc1.w"] + p["fc1.b"]
-        h1, att = _attention_forward(
-            h0, V2S_HEADS, V2S_ATT, {k[4:]: v for k, v in p.items() if k.startswith("att.")}
-        )
+        att_params = {n: p[f"att.{n}"] for n in ("wo", "bo", *_HEAD_WEIGHTS)}
+        h1, att = _attention_forward(h0, V2S_HEADS, V2S_ATT, att_params)
         h2 = h1 @ p["fc2.w"] + p["fc2.b"]
         r = relu(h2)
         z = (r @ p["fc3.w"] + p["fc3.b"])[:, 0]

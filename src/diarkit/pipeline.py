@@ -67,9 +67,19 @@ class FileResult:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
-def build_stub_components() -> Components:
-    """Weight-free spectral stand-ins for every component but the scorer."""
-    return Components(SpectralEmbedder(), SpectralTsvad(), EnergyVad())
+def build_stub_components(cfg: PipelineConfig | None = None) -> Components:
+    """Weight-free spectral stand-ins for every component but the scorer,
+    which comes from `cfg.v2s_weights` when `cfg` names one."""
+    scorer = _load_scorer(cfg) if cfg else None
+    return Components(SpectralEmbedder(), SpectralTsvad(), EnergyVad(), scorer)
+
+
+def _load_scorer(cfg: PipelineConfig):
+    """The pair scorer from `cfg.v2s_weights`, or None when it names none."""
+    from .models import V2sScorer
+    from .weights import load_weights
+
+    return V2sScorer.from_store(load_weights(cfg.v2s_weights)) if cfg.v2s_weights else None
 
 
 def build_net_vad(cfg: PipelineConfig):
@@ -88,7 +98,7 @@ def build_net_vad(cfg: PipelineConfig):
 
 
 def build_net_components(cfg: PipelineConfig) -> Components:
-    from .models import EmbedNet, TsvadNet, V2sScorer
+    from .models import EmbedNet, TsvadNet
     from .weights import load_weights
 
     if not cfg.embed_weights or not cfg.tsvad_weights:
@@ -98,10 +108,7 @@ def build_net_components(cfg: PipelineConfig) -> Components:
     embedder = EmbedNet(load_weights(cfg.embed_weights))
     tsvad_net = TsvadNet(load_weights(cfg.tsvad_weights))
     vad = build_net_vad(cfg) if cfg.vad_weights else None
-    scorer = (
-        V2sScorer.from_store(load_weights(cfg.v2s_weights)) if cfg.v2s_weights else None
-    )
-    return Components(embedder, tsvad_net, vad, scorer)
+    return Components(embedder, tsvad_net, vad, _load_scorer(cfg))
 
 
 def speech_regions_for(

@@ -69,13 +69,6 @@ class WeightStore:
             for a, b in ((self._entries[n], other._entries[n]) for n in self.names())
         )
 
-    def subset(self, prefix: str) -> "WeightStore":
-        """Entries under `prefix.`, with the prefix stripped."""
-        cut = len(prefix) + 1
-        return WeightStore(
-            {n[cut:]: v for n, v in self._entries.items() if n.startswith(prefix + ".")}
-        )
-
 
 def save_weights(store: WeightStore, path) -> None:
     names = store.names()

@@ -345,6 +345,26 @@ class TestNctsPath:
         assert entry["status"] == "error" and "v2s_weights" in entry["error"]
         assert not (out_dir / "talk.rttm").exists()
 
+    def test_v2s_with_stubs_reads_v2s_weights(self, tmp_path):
+        data = tmp_path / "data"
+        args = ["--speakers", "3", "--duration", "20", "--noise", "0.4", "--seed", "22"]
+        assert main(["synth", "--out-dir", str(data), *args]) == 0
+        save_weights(V2sScorer.init(0).to_store(), tmp_path / "v2s.bin")
+        cfg = tmp_path / "v2s.cfg"
+        cfg.write_text(f"v2s_weights={tmp_path / 'v2s.bin'}\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "diarize", str(data), "--out-dir", str(out_dir), "--mode", "task1",
+                "--vad-dir", str(data), "--stub-embeddings", "--similarity", "v2s",
+                "--config", str(cfg),
+            ]
+        )
+        assert code == 0
+        entry = json.loads((out_dir / "report.jsonl").read_text())
+        assert (entry["bandwidth"], entry["status"]) == ("NCTS", "ok"), entry
+        assert (out_dir / "synth0022.rttm").exists()
+
 
 class TestEightKInput:
     def test_8k_wav_takes_cts_path(self, tmp_path):
@@ -483,10 +503,12 @@ class TestSetupErrors:
         line = self._single_error_line(capsys, "vad")
         assert "vad.bin" in line and "byte 12" in line
 
-    def test_v2s_weights_missing_a_parameter(self, synth_dir, tmp_path, capsys):
+    def _diarize_with_v2s(self, synth_dir, tmp_path, name, value=None) -> int:
+        """`diarize` in net mode with seeded weights, but the scorer's entry
+        `name` left out or replaced by `value`."""
         save_weights(init_embed_weights(0), tmp_path / "embed.bin")
         save_weights(init_tsvad_weights(0), tmp_path / "tsvad.bin")
-        self._save_without(V2sScorer.init(0).to_store(), tmp_path / "v2s.bin", "v2s.fc3.b")
+        self._save_without(V2sScorer.init(0).to_store(), tmp_path / "v2s.bin", name, value)
         cfg = tmp_path / "net.cfg"
         cfg.write_text(
             f"embed_weights={tmp_path / 'embed.bin'}\ntsvad_weights={tmp_path / 'tsvad.bin'}\n"
@@ -494,8 +516,16 @@ class TestSetupErrors:
             encoding="utf-8",
         )
         out_dir = tmp_path / "out"
-        assert main(["diarize", str(synth_dir), "--out-dir", str(out_dir), "--config", str(cfg)]) == 2
+        return main(["diarize", str(synth_dir), "--out-dir", str(out_dir), "--config", str(cfg)])
+
+    def test_v2s_weights_missing_a_parameter(self, synth_dir, tmp_path, capsys):
+        assert self._diarize_with_v2s(synth_dir, tmp_path, "v2s.fc3.b") == 2
         assert "fc3.b" in self._single_error_line(capsys, "diarize")
+
+    def test_v2s_weights_misshapen(self, synth_dir, tmp_path, capsys):
+        assert self._diarize_with_v2s(synth_dir, tmp_path, "v2s.fc2.w", np.ones((256, 10))) == 2
+        line = self._single_error_line(capsys, "diarize")
+        assert "'v2s.fc2.w': shape (256, 10), expected (256, 1024)" in line
 
     @staticmethod
     def _save_without(store, path, name, value=None):
@@ -544,6 +574,13 @@ class TestSetupErrors:
         # No recording reaches the detector here: random embeddings cluster
         # as one speaker. The missing entry must still fail at build.
         name = "tsvad.resnet.stage1.block0.bn1.var"
+        self._save_without(init_tsvad_weights(0), tmp_path / "bad.bin", name)
+        assert self._diarize_task1(tmp_path, capsys, init_embed_weights(0), load_weights(tmp_path / "bad.bin")) == 2
+        assert f"missing weight '{name}'" in self._single_error_line(capsys, "diarize")
+
+    def test_tsvad_weights_missing_head_bias(self, tmp_path, capsys):
+        # As above, no recording reaches the detector, whose head reads this entry.
+        name = "tsvad.fc.b"
         self._save_without(init_tsvad_weights(0), tmp_path / "bad.bin", name)
         assert self._diarize_task1(tmp_path, capsys, init_embed_weights(0), load_weights(tmp_path / "bad.bin")) == 2
         assert f"missing weight '{name}'" in self._single_error_line(capsys, "diarize")

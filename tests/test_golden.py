@@ -1,7 +1,8 @@
 """Golden outputs: SHA-256 digests of the RTTMs and report lines that fixed
 synthetic recordings give with stub components, in task 1 and task 2; the
 RTTMs the neural detector and the neural embedder give with fixed random
-weights; and the speech regions of the neural VAD.
+weights; the speech regions of the neural VAD; and the bytes of the seeded
+weight files.
 
 A refactor or an exact speed-up leaves every digest unchanged; a change that
 alters outputs on purpose updates them and says why. The report digests also
@@ -20,6 +21,7 @@ from diarkit.config import PipelineConfig
 from diarkit.models import (
     EmbedNet,
     TsvadNet,
+    V2sScorer,
     init_embed_weights,
     init_tsvad_weights,
     init_vad_weights,
@@ -94,6 +96,41 @@ NET_EMBED_GOLDEN_RTTM = "a0660196b9ac69c55f4e33b0731194f6835674be29aa0b0ea76b00e
 # inside that range.
 NET_VAD_RECORDING = SynthSpec(n_speakers=2, duration_s=6.0, seed=3)
 NET_VAD_GOLDEN = [(0.12, 0.29), (2.75, 5.69), (5.82, 5.98)]
+
+# The weight files that each network's seeded init saves, for seeds 0-3. They
+# pin the draw order that the net goldens above and `net-random` depend on.
+WEIGHT_INITS = {
+    "vad": init_vad_weights,
+    "embed": init_embed_weights,
+    "tsvad": init_tsvad_weights,
+    "v2s": lambda seed: V2sScorer.init(seed).to_store(),
+}
+WEIGHT_GOLDEN = {
+    "vad": [
+        "8902d321ce040402ff43e5587cb94c5494aab81413317c58e198ea4805a6c750",
+        "23e1f22e4a26fa9d14d6324a153c63e119be06894a1cd957eae26630a8959ad8",
+        "f020a6714df07aa6b3adee598989eac2d5de3ee76a8e8044bacfb4feab51a80a",
+        "64d8853035432cba0e9b17b8c96b855e4d753ebca1d5b8486144d0e5dfa157b0",
+    ],
+    "embed": [
+        "6cab0771ce190cebe779eda0a6d0f886ed2dbe2db6605f3255f210aeae9adcfa",
+        "cb24b2c2e46c2c454768e64a090e0dda0f3ec867536c63d56e0f87d39c827863",
+        "f8ca66522d4b58fa1386363103bad0febc9ee33caba70595605839620ac63cc2",
+        "979860f8277b884ddba2f6375efc2646a802508bd665c790aa666c4bc87b2d33",
+    ],
+    "tsvad": [
+        "910c20eb28bc023dd0b6cac705de0abccad6df0f3788229e597b2ad22945965a",
+        "04bd18538418a7c87f04cdb16ba717d948ae4518908aa4554b8c7dfa69d5b61b",
+        "2da76d7aefdfbce5100d309abf12d7b6794c9ac15455703a6d496e51ac616995",
+        "e7bc0d2a4fa3e4e70efb4732dab39d68473b6f85b82e2dc9214fbaf34870f3ae",
+    ],
+    "v2s": [
+        "6ce059e859915b8175009056f0bcdc0da94f2bfce064a299303138ec39c03a77",
+        "34b5ebb96fd1c4bc546f1262a2c6e79db79166a8ed33fc09ff1173470bdc9953",
+        "6b9834ecf36192dc008b1a9b0861be74e0791e880e41f593f06e3ea1c0525066",
+        "1d7f9f0a416afaedccfc6da1f556fa19d4c0a268c37c72bea837fb1306011517",
+    ],
+}
 
 
 def _sha(data: bytes) -> str:
@@ -171,3 +208,10 @@ def test_golden_net_vad(tmp_path):
     components = Components(None, None, build_net_vad(cfg))
     regions = speech_regions_for(buf, TASK2, None, components, cfg)
     assert [(s.start_s, s.end_s) for s in regions] == NET_VAD_GOLDEN
+
+
+@pytest.mark.parametrize("net", sorted(WEIGHT_GOLDEN))
+def test_golden_seeded_weight_bytes(tmp_path, net):
+    for seed, want in enumerate(WEIGHT_GOLDEN[net]):
+        save_weights(WEIGHT_INITS[net](seed), tmp_path / "w.bin")
+        assert _sha((tmp_path / "w.bin").read_bytes()) == want, (net, seed)

@@ -40,6 +40,14 @@ def feats(rng, t, bins):
     return FeatureMatrix(rng.normal(0, 1.0, size=(t, bins)))
 
 
+def without(store, name, value=None):
+    """`store` with entry `name` left out, or replaced by `value`."""
+    entries = {n: store.get(n) for n in store.names() if n != name}
+    if value is not None:
+        entries[name] = value
+    return WeightStore(entries)
+
+
 class TestVadNet:
     def test_output_per_frame_in_unit_interval(self, vad_net):
         rng = np.random.default_rng(0)
@@ -154,10 +162,13 @@ class TestFoldAtBuild:
         monkeypatch.setattr(models, "batch_norm_infer", counted_bn)
         monkeypatch.setattr(models, "conv2d", spied_conv)
         net = cls(init(0))
-        n_convs = len(net.p.convs)
+        convs = {name.removesuffix(".kernel") for name, _, _ in cls.SPEC if name.endswith(".kernel")}
+        n_convs = len(convs)
         assert len(bn_calls) == 2 * n_convs  # one for the scale, one for the bias
+        # The trunk keeps one folded (kernel, bias) pair per conv and no other entry.
         trunk = cls.TRUNK[0] + "."
-        assert not [name for name in net.p._arrays if name.startswith(trunk)]
+        assert {name for name in net.p if name.startswith(trunk)} == convs
+        assert all(k.dtype == b.dtype == np.float32 for k, b in (net.p[c] for c in convs))
         assert conv_dtypes == []
         bn_calls.clear()
         run(net, feats(np.random.default_rng(0), 30, bins))
@@ -181,14 +192,98 @@ class TestTrunkValidation:
     )
     def test_bad_entry_raises_shape_error_naming_it(self, name, value, message):
         name = f"vad.resnet.{name}"
-        message = message.format(name)
-        store = init_vad_weights(0)
-        entries = {n: store.get(n) for n in store.names() if n != name}
-        if value is not None:
-            entries[name] = value
         with pytest.raises(ShapeError) as err:
-            VadNet(WeightStore(entries))
-        assert message in str(err.value)
+            VadNet(without(init_vad_weights(0), name, value))
+        assert message.format(name) in str(err.value)
+
+
+# network -> (build from a weight store, seeded weight store)
+BUILDS = {
+    "vad": (VadNet, init_vad_weights),
+    "embed": (EmbedNet, init_embed_weights),
+    "tsvad": (TsvadNet, init_tsvad_weights),
+    "v2s": (V2sScorer.from_store, lambda seed: V2sScorer.init(seed).to_store()),
+}
+
+
+class TestSpecValidation:
+    """Every spec entry outside the trunk is checked at build as well, so a
+    bad head or LSTM entry fails before any forward pass reads it."""
+
+    @pytest.mark.parametrize(
+        "net, name, value, message",
+        [
+            ("tsvad", "tsvad.fc.b", None, "missing weight '{}'"),
+            ("tsvad", "tsvad.lstm.l1.bw.w_h", np.ones((3, 3)),
+             "'{}': shape (3, 3), expected (128, 512)"),
+            ("vad", "vad.fc2.w", None, "missing weight '{}'"),
+            ("embed", "embed.fc.w", np.ones((5, 128)),
+             "'{}': shape (5, 128), expected (5120, 128)"),
+            ("v2s", "v2s.fc2.w", np.ones((256, 10)),
+             "'{}': shape (256, 10), expected (256, 1024)"),
+        ],
+        ids=["tsvad-head-bias", "tsvad-lstm-w_h", "vad-head-weight", "embed-head", "v2s-fc2"],
+    )
+    def test_bad_entry_raises_shape_error_naming_it(self, net, name, value, message):
+        build, init = BUILDS[net]
+        with pytest.raises(ShapeError) as err:
+            build(without(init(0), name, value))
+        assert message.format(name) in str(err.value)
+
+    @pytest.mark.parametrize("net", sorted(BUILDS))
+    def test_extra_entries_are_not_kept(self, net):
+        build, init = BUILDS[net]
+        store = init(0)
+        store.put(f"{net}.unused.w", np.ones(3))
+        model = build(store)
+        kept = model.params if net == "v2s" else model.p
+        assert not [name for name in kept if "unused" in name]
+
+
+class _Reads(dict):
+    """A weight dict that records the name of every entry read from it."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.names = set()
+
+    def __getitem__(self, name):
+        self.names.add(name)
+        return super().__getitem__(name)
+
+
+class TestSpecIsWhatModelsRead:
+    """One forward pass reads exactly the SPEC entries outside the trunk,
+    and every trunk conv, so a SPEC cannot drift from its model."""
+
+    @pytest.mark.parametrize(
+        "cls, init, run",
+        [
+            (VadNet, init_vad_weights, lambda net, rng: net.forward(feats(rng, 30, 32))),
+            (EmbedNet, init_embed_weights, lambda net, rng: net.forward(feats(rng, 30, 80))),
+            (TsvadNet, init_tsvad_weights, lambda net, rng: net.detect(
+                net.identity_frames(feats(rng, 30, 80)), rng.normal(size=128))),
+        ],
+        ids=["vad", "embed", "tsvad"],
+    )
+    def test_trunk_models(self, cls, init, run):
+        net = cls(init(0))
+        net.p = reads = _Reads(net.p)
+        run(net, np.random.default_rng(0))
+        trunk = cls.TRUNK[0] + "."
+        spec = [name for name, _, _ in cls.SPEC]
+        assert {n for n in reads.names if not n.startswith(trunk)} == {
+            n for n in spec if not n.startswith(trunk)
+        }
+        assert {n for n in reads.names if n.startswith(trunk)} == {
+            n.removesuffix(".kernel") for n in spec if n.endswith(".kernel")
+        }
+
+    def test_scorer(self):
+        scorer = V2sScorer.init(0)
+        scorer.params = reads = _Reads(scorer.params)
+        scorer.forward(np.random.default_rng(0).normal(size=(3, 256)))
+        assert reads.names == {name.removeprefix("v2s.") for name, _, _ in V2sScorer.SPEC}
 
 
 class TestFloat32Drift:

@@ -91,13 +91,6 @@ def test_wire_format_layout(tmp_path):
     assert path.read_bytes() == expected
 
 
-def test_subset():
-    store = WeightStore({"a.x": np.ones(1), "a.y": np.ones(2), "b.x": np.ones(3)})
-    sub = store.subset("a")
-    assert sub.names() == ["x", "y"]
-    np.testing.assert_array_equal(sub.get("y"), np.ones(2))
-
-
 def test_entry_name_not_utf8(tmp_path):
     # One entry whose 2-byte name is two UTF-8 continuation bytes with no lead byte.
     path = tmp_path / "badname.nnw"
