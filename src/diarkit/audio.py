@@ -51,10 +51,6 @@ class AudioBuffer:
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ParameterError("samples must be finite")
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def slice_seconds(self, start_s: float, end_s: float) -> "AudioBuffer":
         lo = max(0, int(round(start_s * self.sample_rate)))
         hi = min(self.samples.size, int(round(end_s * self.sample_rate)))

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .audio import read_wav, write_wav
-from .config import PipelineConfig, load_config, read_text, save_config
+from .config import PipelineConfig, load_config, parse_file, save_config
 from .errors import ConfigError, DiarkitError
 from .metrics import (
     compute_der,
@@ -43,7 +43,6 @@ from .pipeline import (
     run_pipeline,
     speech_regions_for,
 )
-from .segments import merge_segments
 from .synth import SynthSpec, gen_audio_conversation
 
 
@@ -60,11 +59,8 @@ def _wav_inputs(path_args: list[str]) -> list[Path]:
 
 def _load_cfg(args) -> PipelineConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    overrides = {}
-    for key in ("seed", "workers", "max_rounds", "similarity"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    return cfg.override(**overrides) if overrides else cfg
+    keys = ("seed", "workers", "max_rounds", "similarity")
+    return cfg.override(**{key: getattr(args, key, None) for key in keys})
 
 
 def _components(args, cfg: PipelineConfig):
@@ -139,16 +135,12 @@ def cmd_tsvad(args) -> int:
     file_id = Path(args.audio).stem
     try:
         buf = read_wav(args.audio)
-        turns = parse_rttm(read_text(args.rttm))
+        turns = parse_file(args.rttm, parse_rttm)
         diar = turns_to_diarization(turns, file_id)
         if not diar.turns:
             raise DiarkitError(f"no turns for {file_id} in {args.rttm}")
-        regions = {s: merge_segments(segs) for s, segs in diar.per_speaker().items()}
-        if args.vad:
-            speech = read_vad_file(args.vad)
-        else:
-            speech = merge_segments([seg for seg, _ in diar.turns])
-        result = detection_rounds(buf, regions, speech, components, cfg, file_id)
+        speech = read_vad_file(args.vad) if args.vad else [seg for seg, _ in diar.turns]
+        result = detection_rounds(buf, diar.per_speaker(), speech, components, cfg, file_id)
         out_path = Path(args.out) if args.out else Path(f"{file_id}.tsvad.rttm")
         out_path.write_text(emit_rttm(diarization_to_turns(result.diarization)), encoding="utf-8")
     except (DiarkitError, OSError) as exc:
@@ -162,9 +154,9 @@ def cmd_tsvad(args) -> int:
 
 
 def cmd_score(args) -> int:
-    ref_turns = parse_rttm(read_text(args.ref))
-    hyp_turns = parse_rttm(read_text(args.hyp))
-    uem = parse_uem(read_text(args.uem)) if args.uem else {}
+    ref_turns = parse_file(args.ref, parse_rttm)
+    hyp_turns = parse_file(args.hyp, parse_rttm)
+    uem = parse_file(args.uem, parse_uem) if args.uem else {}
     totals = {"err": 0.0, "ref": 0.0}
     failed = False
     for file_id in rttm_file_ids(ref_turns):
@@ -227,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, models=True):
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, default=None)
         if models:
             p.add_argument(
                 "--stub-embeddings", action="store_true",
@@ -253,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
     p.add_argument("--similarity", choices=["cosine", "v2s"], default=None)
+    p.add_argument("--seed", type=int, default=None, help="spectral clustering seed")
     common(p)
     p.set_defaults(func=cmd_diarize)
 

@@ -3,11 +3,12 @@ published operating points of every stage."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .audio import FRAME_SHIFT_S
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, LineError
 
 
 @dataclass
@@ -87,16 +88,32 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
+def records(text: str, comment: str) -> Iterator[tuple[int, str]]:
+    """`(line number, stripped line)` for each line of `read_text` output that
+    is neither blank nor a `comment`. Lines end at "\n" alone, as in file
+    iteration; a form feed or vertical tab inside a line separates fields."""
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if line and not line.startswith(comment):
+            yield lineno, line
+
+
+def parse_file(path, parse):
+    """`parse(read_text(path))`, where a `LineError` names `path`."""
+    try:
+        return parse(read_text(path))
+    except LineError as exc:
+        exc.path = path
+        raise
+
+
 def load_config(path) -> PipelineConfig:
     """Read `key=value` lines; blank lines and #-comments are ignored.
     Unknown keys are rejected."""
     types = {f.name: f.type for f in fields(PipelineConfig)}
     casts = {"float": float, "int": int, "str": str}
     values: dict[str, object] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(read_text(path), "#"):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")

@@ -9,6 +9,19 @@ class FormatError(DiarkitError):
     """Unreadable file, or malformed content (WAV header, weight file, RTTM line)."""
 
 
+class LineError(FormatError):
+    """Malformed content on one line of a text input: `line <n>: <reason>`,
+    or `<path>:<n>: <reason>` once the reader of the file sets `path`."""
+
+    def __init__(self, lineno: int, reason: str, path=None):
+        super().__init__(lineno, reason)
+        self.lineno, self.reason, self.path = lineno, reason, path
+
+    def __str__(self) -> str:
+        where = f"line {self.lineno}" if self.path is None else f"{self.path}:{self.lineno}"
+        return f"{where}: {self.reason}"
+
+
 class UnsupportedFormatError(DiarkitError):
     """Well-formed file in an encoding we deliberately do not handle."""
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InputError, ParameterError
+from .config import records
+from .errors import FormatError, InputError, LineError, ParameterError
 from .segments import Diarization, Segment
 
 FRAME_S = 0.001
@@ -35,7 +36,7 @@ class RttmTurn:
     speaker: str
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.onset_s < 0:
+        if not (0 <= self.onset_s < math.inf and 0 < self.duration_s < math.inf):
             raise FormatError(
                 f"invalid turn: onset {self.onset_s}, duration {self.duration_s}"
             )
@@ -54,23 +55,20 @@ class DerReport:
 def parse_rttm(text: str) -> list[RttmTurn]:
     """Parse SPEAKER lines; other record types are ignored."""
     turns = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith(";;"):
-            continue
+    for lineno, line in records(text, ";;"):
         parts = line.split()
         if parts[0] != "SPEAKER":
             continue
         if len(parts) < 8:
-            raise FormatError(f"line {lineno}: SPEAKER line has {len(parts)} fields, need >= 8")
+            raise LineError(lineno, f"SPEAKER line has {len(parts)} fields, need >= 8")
         try:
             onset, dur = float(parts[3]), float(parts[4])
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: non-numeric onset/duration") from exc
+            raise LineError(lineno, "non-numeric onset/duration") from exc
         try:
             turns.append(RttmTurn(parts[1], onset, dur, parts[7]))
         except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+            raise LineError(lineno, str(exc)) from exc
     return turns
 
 
@@ -108,18 +106,17 @@ def rttm_file_ids(turns: list[RttmTurn]) -> list[str]:
 def parse_uem(text: str) -> dict[str, list[Segment]]:
     """Parse `<file-id> 1 <start> <end>` scored-region lines."""
     regions: dict[str, list[Segment]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith(";;"):
-            continue
+    for lineno, line in records(text, ";;"):
         parts = line.split()
         if len(parts) != 4:
-            raise FormatError(f"line {lineno}: UEM line needs 4 fields, got {len(parts)}")
+            raise LineError(lineno, f"UEM line needs 4 fields, got {len(parts)}")
         try:
-            start, end = float(parts[2]), float(parts[3])
+            region = Segment(float(parts[2]), float(parts[3]))
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: non-numeric UEM times") from exc
-        regions.setdefault(parts[0], []).append(Segment(start, end))
+            raise LineError(lineno, "non-numeric UEM times") from exc
+        except ParameterError as exc:
+            raise LineError(lineno, str(exc)) from exc
+        regions.setdefault(parts[0], []).append(region)
     return regions
 
 

@@ -321,7 +321,7 @@ class TsvadNet:
     def bind(self, buf):
         """The recording's identity frames, computed once; the returned
         `tracks(targets)` runs one detection track per target over them."""
-        from .audio import log_mel, mean_normalize
+        from .audio import log_mel, mean_normalize  # at call time, so tracing can wrap them
 
         identity = self.identity_frames(mean_normalize(log_mel(buf, EMBED_BINS)))
         return lambda targets: np.stack([self.detect(identity, t) for t in targets])

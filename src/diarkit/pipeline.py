@@ -77,7 +77,7 @@ def build_stub_components(cfg: PipelineConfig | None = None) -> Components:
 def _load_scorer(cfg: PipelineConfig):
     """The pair scorer from `cfg.v2s_weights`, or None when it names none."""
     from .models import V2sScorer
-    from .weights import load_weights
+    from .weights import load_weights  # at call time, so tracing can wrap it
 
     return V2sScorer.from_store(load_weights(cfg.v2s_weights)) if cfg.v2s_weights else None
 
@@ -86,7 +86,7 @@ def build_net_vad(cfg: PipelineConfig):
     """The VAD network from `cfg.vad_weights`, as a `vad(buf) -> SpeechMask`
     callable that averages it over `cfg`'s sliding windows."""
     from .models import VadNet
-    from .weights import load_weights
+    from .weights import load_weights  # at call time, so tracing can wrap it
 
     net = VadNet(load_weights(cfg.vad_weights))
 
@@ -99,7 +99,7 @@ def build_net_vad(cfg: PipelineConfig):
 
 def build_net_components(cfg: PipelineConfig) -> Components:
     from .models import EmbedNet, TsvadNet
-    from .weights import load_weights
+    from .weights import load_weights  # at call time, so tracing can wrap it
 
     if not cfg.embed_weights or not cfg.tsvad_weights:
         raise ConfigError(
@@ -140,10 +140,6 @@ def _embed_segments(
             continue
         out.append(EmbeddedSegment(seg, embedding))
     return out
-
-
-def _single_speaker_fallback(recording_id: str, speech: list[Segment]) -> Diarization:
-    return Diarization(recording_id, [(seg, "spk0") for seg in merge_segments(speech)])
 
 
 def cluster_two_speakers(
@@ -204,7 +200,7 @@ def diarize_cts(
     buf = _narrowband(buf)
     regions = cluster_two_speakers(buf, speech, components, cfg)
     if regions is None:
-        return _single_speaker_fallback(recording_id, speech), 0, "single cluster"
+        return Diarization.from_regions(recording_id, {"spk0": speech}), 0, "single cluster"
     result = detection_rounds(buf, regions, speech, components, cfg, recording_id)
     return result.diarization, result.rounds, result.warning or ""
 
@@ -222,10 +218,9 @@ def diarize_ncts(
         raise ConfigError("similarity=v2s needs v2s_weights")
     segs = uniform_segments(speech, cfg.ncts_win_s, cfg.ncts_shift_s)
     embedded = _embed_segments(buf, segs, components.embedder, cfg.min_segment_s)
-    if not embedded:
-        return _single_speaker_fallback(recording_id, speech)
-    if len(embedded) == 1:
-        return Diarization(recording_id, [(embedded[0].segment, "spk0")])
+    if len(embedded) < 2:  # nothing to cluster: one speaker
+        regions = {"spk0": [e.segment for e in embedded] or speech}
+        return Diarization.from_regions(recording_id, regions)
     xs = np.stack([e.embedding for e in embedded])
     if cfg.similarity == "v2s":
         sim = v2s_similarity_matrix(xs, components.scorer)
@@ -235,13 +230,7 @@ def diarize_ncts(
     per_speaker: dict[str, list[Segment]] = {}
     for e, label in zip(embedded, clustering.labels):
         per_speaker.setdefault(f"spk{label}", []).append(e.segment)
-    turns = [
-        (seg, spk)
-        for spk, seg_list in sorted(per_speaker.items())
-        for seg in merge_segments(seg_list)
-    ]
-    turns.sort(key=lambda t: (t[0].start_s, t[1]))
-    return Diarization(recording_id, turns)
+    return Diarization.from_regions(recording_id, per_speaker)
 
 
 def process_recording(

@@ -18,9 +18,9 @@ class Segment:
     end_s: float
 
     def __post_init__(self):
-        if not (0.0 <= self.start_s < self.end_s):
+        if not (0.0 <= self.start_s < self.end_s < np.inf):
             raise ParameterError(
-                f"invalid segment [{self.start_s}, {self.end_s}]: need 0 <= start < end"
+                f"invalid segment [{self.start_s}, {self.end_s}]: need 0 <= start < end < inf"
             )
 
     @property
@@ -38,6 +38,14 @@ class Diarization:
 
     recording_id: str
     turns: list[tuple[Segment, str]] = field(default_factory=list)
+
+    @classmethod
+    def from_regions(cls, recording_id: str, regions: dict[str, list[Segment]]) -> "Diarization":
+        """Each speaker's regions merged into turns, ordered by start time,
+        then speaker name: the one turn order of every hypothesis."""
+        turns = [(seg, spk) for spk, segs in regions.items() for seg in merge_segments(segs)]
+        turns.sort(key=lambda t: (t[0].start_s, t[1]))
+        return cls(recording_id, turns)
 
     def speakers(self) -> list[str]:
         seen: dict[str, None] = {}

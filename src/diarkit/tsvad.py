@@ -64,15 +64,13 @@ def extract_target_embeddings(
                 f"need >= {MIN_TARGET_SPEECH_S}s"
             )
         budget = int(round(max_s * buf.sample_rate))
-        pieces = []
+        pieces, taken = [], 0
         for seg in merged:
-            lo = int(round(seg.start_s * buf.sample_rate))
-            hi = int(round(seg.end_s * buf.sample_rate))
-            take = min(hi - lo, budget - sum(len(p) for p in pieces))
-            if take <= 0:
+            if taken >= budget:
                 break
-            pieces.append(buf.samples[lo : lo + take])
-        samples = np.concatenate(pieces)
+            pieces.append(buf.slice_seconds(seg.start_s, seg.end_s).samples)
+            taken += pieces[-1].size
+        samples = np.concatenate(pieces)[:budget]
         try:
             targets[speaker] = embedder(AudioBuffer(samples, buf.sample_rate))
         except EmptyInputError as exc:
@@ -124,12 +122,8 @@ def postprocess(
     argmax = filtered.argmax(axis=0)  # ties resolve to the lower speaker index
     assigned[argmax[none_hit], np.nonzero(none_hit)[0]] = True
     assigned &= speech_mask[None, :]
-    turns: list[tuple[Segment, str]] = []
-    for row, speaker in enumerate(tracks.speaker_ids):
-        for seg in mask_to_segments(assigned[row]):
-            turns.append((seg, speaker))
-    turns.sort(key=lambda t: (t[0].start_s, t[1]))
-    return Diarization(recording_id, turns)
+    regions = {spk: mask_to_segments(row) for spk, row in zip(tracks.speaker_ids, assigned)}
+    return Diarization.from_regions(recording_id, regions)
 
 
 def run_rounds(

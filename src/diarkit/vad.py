@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import FRAME_SHIFT_S, AudioBuffer, FeatureMatrix, log_mel
-from .config import PipelineConfig, read_text
-from .errors import ParameterError
+from .config import PipelineConfig, read_text, records
+from .errors import LineError, ParameterError
 from .models import VAD_BINS
 from .segments import Segment, mask_to_segments
 
@@ -23,10 +23,6 @@ class SpeechMask:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.size and (self.probs.min() < 0.0 or self.probs.max() > 1.0):
             raise ParameterError("speech probabilities must lie in [0, 1]")
-
-    @property
-    def n_frames(self) -> int:
-        return self.probs.size
 
 
 def window_starts(n_frames: int, win_frames: int, shift_frames: int) -> list[int]:
@@ -82,20 +78,16 @@ def binarize(
 def read_vad_file(path) -> list[Segment]:
     """Parse `<start> <end>` lines (seconds) into sorted segments."""
     segs = []
-    # Lines end at "\n" alone, as in file iteration; splitlines() would also
-    # break at the form feeds and vertical tabs that split() takes as spaces.
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(read_text(path), "#"):
         parts = line.split()
         if len(parts) != 2:
-            raise ParameterError(f"{path}:{lineno}: expected '<start> <end>', got {line!r}")
+            raise LineError(lineno, f"expected '<start> <end>', got {line!r}", path)
         try:
-            start, end = float(parts[0]), float(parts[1])
+            segs.append(Segment(float(parts[0]), float(parts[1])))
         except ValueError as exc:
-            raise ParameterError(f"{path}:{lineno}: non-numeric time") from exc
-        segs.append(Segment(start, end))
+            raise LineError(lineno, "non-numeric time", path) from exc
+        except ParameterError as exc:
+            raise LineError(lineno, str(exc), path) from exc
     return sorted(segs, key=lambda s: s.start_s)
 
 

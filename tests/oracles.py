@@ -18,6 +18,14 @@ logistic with its two masked branches, and the LSTM that called it once per
 gate), `conv2d_tensordot_oracle` (the float64 `conv2d`), and
 `resnet_forward_oracle` (the trunk that ran each conv, then its batch norm,
 in float64 from the weight store).
+
+The hand-written turn assemblies that `Diarization.from_regions` replaced
+are kept as its oracles: `mask_turns_oracle` (`tsvad.postprocess`),
+`cluster_turns_oracle` (`pipeline.diarize_ncts`) and
+`single_speaker_oracle` (`pipeline._single_speaker_fallback`).
+`target_samples_oracle` is the running-sum loop that cut round targets from
+the recording before `extract_target_embeddings` used
+`AudioBuffer.slice_seconds`.
 """
 
 import itertools
@@ -31,7 +39,7 @@ from diarkit.errors import InputError, NumericError, ParameterError
 from diarkit.metrics import FRAME_S, DerReport
 from diarkit.models import EMBED_BINS, STAGE_STRIDES
 from diarkit.nn import batch_norm_infer
-from diarkit.segments import Diarization, Segment
+from diarkit.segments import Diarization, Segment, mask_to_segments, merge_segments
 from diarkit.stubs import _band_profile
 
 MAX_MAPPED_SPEAKERS = 8
@@ -492,3 +500,43 @@ def tsvad_net_tracks_oracle(net, buf, targets):
     features = mean_normalize(log_mel(buf, EMBED_BINS))
     identity = net.identity_frames(features)
     return np.stack([net.detect(identity, t) for t in targets])
+
+
+def mask_turns_oracle(recording_id, speaker_ids, assigned):
+    """Each speaker's runs of assigned frames, ordered by (start, speaker)."""
+    turns = []
+    for row, speaker in enumerate(speaker_ids):
+        for seg in mask_to_segments(assigned[row]):
+            turns.append((seg, speaker))
+    turns.sort(key=lambda t: (t[0].start_s, t[1]))
+    return Diarization(recording_id, turns)
+
+
+def cluster_turns_oracle(recording_id, per_speaker):
+    """Each cluster's segments merged, ordered by (start, speaker)."""
+    turns = [
+        (seg, spk)
+        for spk, seg_list in sorted(per_speaker.items())
+        for seg in merge_segments(seg_list)
+    ]
+    turns.sort(key=lambda t: (t[0].start_s, t[1]))
+    return Diarization(recording_id, turns)
+
+
+def single_speaker_oracle(recording_id, speech):
+    return Diarization(recording_id, [(seg, "spk0") for seg in merge_segments(speech)])
+
+
+def target_samples_oracle(buf, regions, max_s):
+    """The first `max_s` seconds of samples of the unioned `regions`, cut by
+    a running sum that stops at the first region of zero samples."""
+    budget = int(round(max_s * buf.sample_rate))
+    pieces = []
+    for seg in merge_segments(regions):
+        lo = int(round(seg.start_s * buf.sample_rate))
+        hi = int(round(seg.end_s * buf.sample_rate))
+        take = min(hi - lo, budget - sum(len(p) for p in pieces))
+        if take <= 0:
+            break
+        pieces.append(buf.samples[lo : lo + take])
+    return np.concatenate(pieces)

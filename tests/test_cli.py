@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from diarkit.cli import main
+from diarkit.cli import build_parser, main
 from diarkit.config import PipelineConfig
 from diarkit.metrics import RttmTurn, compute_der, emit_rttm, parse_rttm, turns_to_diarization
 from diarkit.models import (
@@ -35,6 +35,16 @@ def synth_dir(tmp_path):
     )
     assert code == 0
     return out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["partition", "a.wav"], ["vad", "a.wav"], ["tsvad", "--audio", "a.wav", "--rttm", "a.rttm"]],
+)
+def test_seed_is_only_a_diarize_option(argv):
+    _, unknown = build_parser().parse_known_args([*argv, "--seed", "1"])
+    assert unknown == ["--seed", "1"]
+    assert build_parser().parse_args(["diarize", "a.wav", "--out-dir", "o", "--seed", "1"]).seed == 1
 
 
 class TestSynthCommand:
@@ -250,6 +260,29 @@ class TestTsvadCommand:
         hyp = turns_to_diarization(parse_rttm(out.read_text()), "synth0003")
         ref = turns_to_diarization(parse_rttm(rttm.read_text()), "synth0003")
         assert compute_der(ref, hyp).der < 0.05
+
+    def test_turn_shorter_than_half_a_sample(self, synth_dir, tmp_path, capsys):
+        # spk0's first region, 0.05 ms long, rounds to no samples at 8 kHz;
+        # the target is cut from the regions after it, as without that turn.
+        plain = synth_dir / "synth0003.rttm"
+        tiny = tmp_path / "tiny.rttm"
+        tiny.write_text(
+            "SPEAKER synth0003 1 0.1000 0.00005 <NA> <NA> spk0 <NA> <NA>\n" + plain.read_text()
+        )
+        outputs = []
+        for rttm in (tiny, plain):
+            out = tmp_path / f"{rttm.stem}.out.rttm"
+            code = main(
+                [
+                    "tsvad", "--audio", str(synth_dir / "synth0003.wav"), "--rttm", str(rttm),
+                    "--vad", str(synth_dir / "synth0003.vad"), "--out", str(out),
+                    "--stub-embeddings",
+                ]
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert capsys.readouterr().err == ""
+        assert outputs[0] == outputs[1]
 
     def test_runs_at_8k_like_diarize(self, tmp_path):
         # On this noisy call, detection at 16 kHz gives another RTTM.
@@ -653,6 +686,80 @@ class TestNotUtf8:
         vad = self._with_ff(synth_dir / "synth0003.vad", tmp_path / "bad.vad", b"\xff\n")
         assert self._tsvad(synth_dir, synth_dir / "synth0003.rttm", vad) == 2
         assert self._one_line(capsys, "bad.vad").startswith("synth0003\tERROR\t")
+
+
+class TestBadLines:
+    """A malformed line in an RTTM, UEM or `.vad` input gives one stderr line
+    naming `<file>:<line>`, and exit 2."""
+
+    @staticmethod
+    def _one_line(capsys) -> str:
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.err
+        return lines[0]
+
+    def test_score_hypothesis_onset(self, synth_dir, tmp_path, capsys):
+        ref = synth_dir / "synth0003.rttm"
+        lines = ref.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace(" 1 ", " 1 x", 1)
+        hyp = tmp_path / "bad.rttm"
+        hyp.write_text("".join(lines))
+        assert main(["score", str(ref), str(hyp)]) == 2
+        line = self._one_line(capsys)
+        assert line == f"diarkit score: error: {hyp}:2: non-numeric onset/duration"
+
+    def _score_uem(self, synth_dir, tmp_path, capsys, text: str) -> str:
+        uem = tmp_path / "bad.uem"
+        uem.write_text(text)
+        ref = str(synth_dir / "synth0003.rttm")
+        assert main(["score", ref, ref, "--uem", str(uem)]) == 2
+        return self._one_line(capsys).replace(str(uem), "bad.uem")
+
+    def test_score_uem_fields(self, synth_dir, tmp_path, capsys):
+        line = self._score_uem(synth_dir, tmp_path, capsys, "synth0003 1 0 10\nsynth0003 1 20\n")
+        assert line == "diarkit score: error: bad.uem:2: UEM line needs 4 fields, got 3"
+
+    @pytest.mark.parametrize("times", ["5.0 3.0", "0.0 inf", "nan 3.0"])
+    def test_score_uem_interval(self, synth_dir, tmp_path, capsys, times):
+        line = self._score_uem(synth_dir, tmp_path, capsys, f"synth0003 1 {times}\n")
+        interval = ", ".join(times.split())
+        assert line == (
+            f"diarkit score: error: bad.uem:1: invalid segment [{interval}]: "
+            "need 0 <= start < end < inf"
+        )
+
+    @pytest.mark.parametrize("field, value", [(3, "nan"), (3, "inf"), (4, "inf")])
+    def test_tsvad_rttm_time_not_finite(self, synth_dir, tmp_path, capsys, field, value):
+        lines = (synth_dir / "synth0003.rttm").read_text().splitlines(keepends=True)
+        parts = lines[1].split(" ")
+        parts[field] = value
+        lines[1] = " ".join(parts)
+        rttm = tmp_path / "bad.rttm"
+        rttm.write_text("".join(lines))
+        code = main(
+            [
+                "tsvad", "--audio", str(synth_dir / "synth0003.wav"), "--rttm", str(rttm),
+                "--out", str(tmp_path / "out.rttm"), "--stub-embeddings",
+            ]
+        )
+        assert code == 2
+        assert self._one_line(capsys).startswith(f"synth0003\tERROR\t{rttm}:2: invalid turn: ")
+
+    def test_tsvad_vad_interval(self, synth_dir, tmp_path, capsys):
+        vad = tmp_path / "bad.vad"
+        vad.write_text("0.5 1.0\n3.0 2.0\n")
+        code = main(
+            [
+                "tsvad", "--audio", str(synth_dir / "synth0003.wav"),
+                "--rttm", str(synth_dir / "synth0003.rttm"), "--vad", str(vad),
+                "--out", str(tmp_path / "out.rttm"), "--stub-embeddings",
+            ]
+        )
+        assert code == 2
+        assert self._one_line(capsys) == (
+            f"synth0003\tERROR\t{vad}:2: invalid segment [3.0, 2.0]: need 0 <= start < end < inf"
+        )
 
 
 class TestUnembeddableSegments:

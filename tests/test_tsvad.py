@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diarkit import stubs
 from diarkit.audio import AudioBuffer
 from diarkit.errors import EmptyInputError, InsufficientSpeechError, ParameterError
 from diarkit.models import TsvadNet, init_tsvad_weights
-from diarkit.segments import Segment, segments_to_mask
+from diarkit.segments import Segment, merge_segments, segments_to_mask
 from diarkit.stubs import SpectralEmbedder, SpectralTsvad, reference_speech
 from diarkit.synth import SynthSpec, gen_audio_conversation
 from diarkit.tsvad import (
+    MIN_TARGET_SPEECH_S,
     SpeakerTracks,
     extract_target_embeddings,
     median_filter,
@@ -22,7 +23,12 @@ from diarkit.tsvad import (
     run_rounds,
     run_tsvad,
 )
-from oracles import assignment_matrix_oracle, spectral_tracks_oracle, tsvad_net_tracks_oracle
+from oracles import (
+    assignment_matrix_oracle,
+    spectral_tracks_oracle,
+    target_samples_oracle,
+    tsvad_net_tracks_oracle,
+)
 
 
 class FirstSampleEmbedder:
@@ -89,6 +95,40 @@ class TestExtractTargets:
         silent = AudioBuffer(np.zeros(4 * 8000), 8000)
         with pytest.raises(InsufficientSpeechError, match="silent"):
             extract_target_embeddings(silent, {"a": [Segment(0.0, 2.0)]}, SpectralEmbedder())
+
+    @staticmethod
+    def _fed(buf, regions, max_s=8.0):
+        """The samples the embedder is given for one speaker's `regions`."""
+        fed = []
+
+        def embedder(b):
+            fed.append(b.samples)
+            return b.samples[:1]
+
+        extract_target_embeddings(buf, {"a": regions}, embedder, max_s)
+        return fed[0]
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_running_sum(self, data):
+        # Region edges in whole milliseconds: no region rounds to zero samples.
+        spans = data.draw(
+            st.lists(st.tuples(st.integers(0, 13000), st.integers(1, 4000)), min_size=1, max_size=6)
+        )
+        regions = [Segment(lo / 1000, (lo + n) / 1000) for lo, n in spans]
+        assume(sum(seg.duration for seg in merge_segments(regions)) >= MIN_TARGET_SPEECH_S)
+        max_s = data.draw(st.sampled_from([0.5, 2.0, 8.0]))
+        buf = AudioBuffer(np.random.default_rng(0).uniform(-0.5, 0.5, 12 * 8000), 8000)
+        np.testing.assert_array_equal(
+            self._fed(buf, regions, max_s), target_samples_oracle(buf, regions, max_s)
+        )
+
+    def test_region_of_no_samples_first(self):
+        # 0.1 s to 0.10005 s is 0.4 samples at 8 kHz and rounds to none; the
+        # speech after it still makes the target.
+        buf = ramp_buffer()
+        fed = self._fed(buf, [Segment(0.1, 0.10005), Segment(1.0, 3.0)])
+        np.testing.assert_array_equal(fed, buf.samples[8000:24000])
 
 
 class TestRunTsvad:
