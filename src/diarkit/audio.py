@@ -6,11 +6,14 @@ Conventions fixed here and relied on everywhere else:
     full-scale bin-centered sine peaks near 0.5 and DC at 1.0
   - Mel filters use the 2595*log10(1 + f/700) scale over 0..Nyquist
   - log-Mel uses natural log with a 1e-10 power floor
+  - whole-recording passes over frames work in blocks of BLOCK_FRAMES
+    frames, so their temporaries do not grow with the recording
 """
 
 from __future__ import annotations
 
 import wave
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,9 @@ FRAME_LEN_S = 0.025
 FRAME_SHIFT_S = 0.010
 NFFT = 512
 LOG_FLOOR = 1e-10
+# Frames per block of transient work: about 20 s of audio, some 20 MB of
+# windowed frames and spectra at a time.
+BLOCK_FRAMES = 2048
 
 # Anti-alias filter for 16k -> 8k decimation: windowed sinc, 3.8 kHz cutoff.
 # The 101-tap Hamming window gives ~53 dB stopband attenuation.
@@ -51,9 +57,15 @@ class AudioBuffer:
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ParameterError("samples must be finite")
 
-    def slice_seconds(self, start_s: float, end_s: float) -> "AudioBuffer":
+    def sample_span(self, start_s: float, end_s: float) -> tuple[int, int]:
+        """The sample indices `[lo, hi)` that `slice_seconds` cuts, clamped to
+        the buffer; `hi <= lo` when the span holds no sample."""
         lo = max(0, int(round(start_s * self.sample_rate)))
         hi = min(self.samples.size, int(round(end_s * self.sample_rate)))
+        return lo, hi
+
+    def slice_seconds(self, start_s: float, end_s: float) -> "AudioBuffer":
+        lo, hi = self.sample_span(start_s, end_s)
         return AudioBuffer(self.samples[lo:hi].copy(), self.sample_rate)
 
 
@@ -130,28 +142,49 @@ def resample_to_8k(buf: AudioBuffer) -> AudioBuffer:
     filtered = np.convolve(buf.samples, h / h.sum(), mode="full")
     delay = (DECIMATION_TAPS - 1) // 2
     filtered = filtered[delay : delay + buf.samples.size]
-    return AudioBuffer(filtered[::2], 8000)
+    # A copy, so the result does not pin the whole 16 kHz-length array.
+    return AudioBuffer(filtered[::2].copy(), 8000)
+
+
+def frame_geometry(sample_rate: int) -> tuple[int, int]:
+    """Frame length and hop, in samples."""
+    return int(round(FRAME_LEN_S * sample_rate)), int(round(FRAME_SHIFT_S * sample_rate))
 
 
 def frame_signal(buf: AudioBuffer) -> np.ndarray:
     """The buffer's 25 ms frames every 10 ms, as a read-only [frames, samples]
     view; a trailing part shorter than a frame is dropped."""
-    frame_len = int(round(FRAME_LEN_S * buf.sample_rate))
+    frame_len, hop = frame_geometry(buf.sample_rate)
     if buf.samples.size < frame_len:
         raise EmptyInputError(
             f"buffer of {buf.samples.size} samples shorter than one frame ({frame_len})"
         )
-    hop = int(round(FRAME_SHIFT_S * buf.sample_rate))
     return np.lib.stride_tricks.sliding_window_view(buf.samples, frame_len)[::hop]
 
 
+def frame_blocks(buf: AudioBuffer) -> Iterator[AudioBuffer]:
+    """The buffer as views of at most BLOCK_FRAMES frames each; their frames,
+    in order, are exactly the buffer's frames."""
+    n = frame_signal(buf).shape[0]
+    frame_len, hop = frame_geometry(buf.sample_rate)
+    for first in range(0, n, BLOCK_FRAMES):
+        count = min(BLOCK_FRAMES, n - first)
+        lo = first * hop
+        yield AudioBuffer(buf.samples[lo : lo + (count - 1) * hop + frame_len], buf.sample_rate)
+
+
 def stft_magnitude(buf: AudioBuffer) -> Spectrogram:
-    """Hann-windowed magnitude STFT normalized by the window sum."""
+    """Hann-windowed magnitude STFT normalized by the window sum, taken one
+    block of frames at a time."""
     frames = frame_signal(buf)
     if frames.shape[1] > NFFT:
         raise ParameterError(f"frame length {frames.shape[1]} exceeds nfft {NFFT}")
     window = np.hanning(frames.shape[1])
-    mags = np.abs(np.fft.rfft(frames * window, n=NFFT, axis=1)) / window.sum()
+    scale = window.sum()
+    mags = np.empty((frames.shape[0], NFFT // 2 + 1))
+    for lo in range(0, frames.shape[0], BLOCK_FRAMES):
+        block = frames[lo : lo + BLOCK_FRAMES]
+        mags[lo : lo + block.shape[0]] = np.abs(np.fft.rfft(block * window, n=NFFT, axis=1)) / scale
     return Spectrogram(mags, bin_hz=buf.sample_rate / NFFT)
 
 

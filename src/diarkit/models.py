@@ -270,11 +270,20 @@ class EmbedNet:
         stats = global_stat_pool(maps.transpose(1, 0, 2).reshape(t, c * f))
         return affine(stats, self.p["embed.fc.w"], self.p["embed.fc.b"])
 
-    def __call__(self, buf) -> np.ndarray:
-        """Embedding of a whole buffer, from its mean-normalised log-Mel features."""
+    def __call__(self, buf, segments) -> list[np.ndarray | None]:
+        """One embedding per segment of `buf`, from the segment's own
+        mean-normalised log-Mel features; None for a segment too short to
+        embed."""
         from .audio import log_mel, mean_normalize  # at call time, so tracing can wrap them
 
-        return self.forward(mean_normalize(log_mel(buf, EMBED_BINS)))
+        out = []
+        for seg in segments:
+            piece = buf.slice_seconds(seg.start_s, seg.end_s)
+            try:
+                out.append(self.forward(mean_normalize(log_mel(piece, EMBED_BINS))))
+            except EmptyInputError:
+                out.append(None)
+        return out
 
 
 def init_embed_weights(seed: int = 0) -> WeightStore:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, stft_magnitude
+from .audio import NFFT, AudioBuffer, frame_blocks, stft_magnitude
 from .config import PipelineConfig
 from .errors import ParameterError
 
@@ -30,7 +30,8 @@ def classify_bandwidth(
     """Classify a 16 kHz recording as CTS (telephone) or NCTS.
 
     Looks at the first `horizon_s` seconds and takes the maximum STFT
-    magnitude over bins whose center frequency is strictly above 4 kHz.
+    magnitude over bins whose center frequency is strictly above 4 kHz,
+    one block of frames at a time.
     The recording is NCTS iff that peak exceeds `threshold`.
     """
     if buf.sample_rate != 16000:
@@ -38,8 +39,8 @@ def classify_bandwidth(
             f"bandwidth classification needs 16 kHz input, got {buf.sample_rate}"
         )
     n = min(buf.samples.size, int(round(horizon_s * buf.sample_rate)))
-    spec = stft_magnitude(AudioBuffer(buf.samples[:n], buf.sample_rate))
-    freqs = np.arange(spec.magnitudes.shape[1]) * spec.bin_hz
-    above = spec.magnitudes[:, freqs > SPLIT_HZ]
-    peak = float(above.max()) if above.size else 0.0
+    above = np.arange(NFFT // 2 + 1) * (buf.sample_rate / NFFT) > SPLIT_HZ
+    peak = 0.0
+    for block in frame_blocks(AudioBuffer(buf.samples[:n], buf.sample_rate)):
+        peak = max(peak, float(stft_magnitude(block).magnitudes[:, above].max()))
     return BandwidthClass(NCTS if peak > threshold else CTS, peak)

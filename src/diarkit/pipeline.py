@@ -23,11 +23,11 @@ from .clustering import (
     v2s_similarity_matrix,
 )
 from .config import PipelineConfig
-from .errors import ConfigError, DiarkitError, EmptyInputError, InsufficientSpeakersError
+from .errors import ConfigError, DiarkitError, InsufficientSpeakersError
 from .metrics import diarization_to_turns, emit_rttm
 from .partition import classify_bandwidth
 from .segmenter import EmbeddedSegment, recursive_merge, uniform_segments
-from .segments import Diarization, Segment, merge_segments
+from .segments import Diarization, Segment
 from .stubs import EnergyVad, SpectralEmbedder, SpectralTsvad
 from .tsvad import RoundResult, run_rounds
 from .vad import binarize, predict_speech, read_vad_file
@@ -38,10 +38,15 @@ TASK2 = "task2"  # internal VAD
 
 @dataclass
 class Components:
-    """Resolved model set, each kind called on an `AudioBuffer`: `embedder(buf)`
-    gives a vector, `vad(buf)` a `SpeechMask`, and `tsvad_net.bind(buf)` a
-    `tracks(targets)` callable that gives one track per target. `scorer` rates
-    pairs for `similarity=v2s`."""
+    """Resolved model set, each kind called on an `AudioBuffer`.
+
+    `embedder(buf, segments)` gives one vector per segment of `buf`, or None
+    for a segment it cannot embed (silent, or too few frames); the pipeline
+    makes one call for a recording's segments. It is a plain callable, so a
+    wrapper such as `lambda *a: embedder(*a)` stands in for it. `vad(buf)`
+    gives a `SpeechMask`, and `tsvad_net.bind(buf)` a `tracks(targets)`
+    callable that gives one track per target. `scorer` rates pairs for
+    `similarity=v2s`."""
 
     embedder: object
     tsvad_net: object
@@ -128,26 +133,23 @@ def speech_regions_for(
 def _embed_segments(
     buf: AudioBuffer, segs: list[Segment], embedder, min_segment_s: float
 ) -> list[EmbeddedSegment]:
-    """Embed each segment of at least `min_segment_s`; a segment the embedder
-    cannot embed (silent, or too few frames) is skipped."""
-    out = []
-    for seg in segs:
-        if seg.duration < min_segment_s - 1e-9:
-            continue
-        try:
-            embedding = embedder(buf.slice_seconds(seg.start_s, seg.end_s))
-        except EmptyInputError:
-            continue
-        out.append(EmbeddedSegment(seg, embedding))
-    return out
+    """Embed each segment of at least `min_segment_s` in one embedder call; a
+    segment the embedder cannot embed (silent, or too few frames) is skipped."""
+    kept = [seg for seg in segs if seg.duration >= min_segment_s - 1e-9]
+    return [
+        EmbeddedSegment(seg, embedding)
+        for seg, embedding in zip(kept, embedder(buf, kept))
+        if embedding is not None
+    ]
 
 
 def cluster_two_speakers(
     buf: AudioBuffer, speech: list[Segment], components: Components, cfg: PipelineConfig
 ) -> dict[str, list[Segment]] | None:
     """Merge-driven segmentation plus two-anchor clustering with overlap
-    assignment; returns per-speaker regions, or None when the audio does not
-    split into two clusters."""
+    assignment; returns per-speaker regions, possibly overlapping (target
+    extraction unions them), or None when the audio does not split into two
+    clusters."""
     segs = uniform_segments(speech, cfg.cts_win_s, cfg.cts_shift_s)
     embedded = _embed_segments(buf, segs, components.embedder, cfg.min_segment_s)
     if not embedded:
@@ -167,7 +169,7 @@ def cluster_two_speakers(
     )
     regions["spk0"] += [e.segment for e in extra_a]
     regions["spk1"] += [e.segment for e in extra_b]
-    return {s: merge_segments(r) for s, r in regions.items()}
+    return regions
 
 
 def _narrowband(buf: AudioBuffer) -> AudioBuffer:

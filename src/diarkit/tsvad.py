@@ -51,31 +51,46 @@ def extract_target_embeddings(
     """Embed up to the first `max_s` seconds of each speaker's speech.
 
     Regions are unioned, concatenated in time order, and truncated at the
-    budget; the result is deterministic for identical regions. Speech the
-    embedder cannot embed counts as insufficient speech.
+    budget; the result is deterministic for identical regions. The speakers'
+    samples go to the embedder in one call, end to end in one buffer with
+    one segment per speaker. Speakers are checked in order: the first one
+    with too little speech, or with speech the embedder cannot embed, raises
+    `InsufficientSpeechError`.
     """
-    targets: dict[str, np.ndarray] = {}
+    budget = int(round(max_s * buf.sample_rate))
+    pieces: dict[str, np.ndarray] = {}
+    short = None
     for speaker, regions in speaker_regions.items():
         merged = merge_segments(regions)
         available = sum(seg.duration for seg in merged)
         if available < MIN_TARGET_SPEECH_S:
-            raise InsufficientSpeechError(
+            short = InsufficientSpeechError(
                 f"speaker {speaker}: {available:.3f}s of speech, "
                 f"need >= {MIN_TARGET_SPEECH_S}s"
             )
-        budget = int(round(max_s * buf.sample_rate))
-        pieces, taken = [], 0
+            break
+        cut, taken = [], 0
         for seg in merged:
             if taken >= budget:
                 break
-            pieces.append(buf.slice_seconds(seg.start_s, seg.end_s).samples)
-            taken += pieces[-1].size
-        samples = np.concatenate(pieces)[:budget]
-        try:
-            targets[speaker] = embedder(AudioBuffer(samples, buf.sample_rate))
-        except EmptyInputError as exc:
-            raise InsufficientSpeechError(f"speaker {speaker}: {exc}") from exc
-    return targets
+            cut.append(buf.slice_seconds(seg.start_s, seg.end_s).samples)
+            taken += cut[-1].size
+        pieces[speaker] = np.concatenate(cut)[:budget]
+    joined = AudioBuffer(np.concatenate([np.zeros(0), *pieces.values()]), buf.sample_rate)
+    spans, lo = {}, 0
+    for speaker, samples in pieces.items():
+        if samples.size:  # no samples: nothing to embed
+            spans[speaker] = Segment(lo / buf.sample_rate, (lo + samples.size) / buf.sample_rate)
+        lo += samples.size
+    vectors = dict(zip(spans, embedder(joined, list(spans.values()))))
+    for speaker in pieces:
+        if vectors.get(speaker) is None:
+            raise InsufficientSpeechError(
+                f"speaker {speaker}: speech cannot be embedded (silent, or too few frames)"
+            )
+    if short is not None:
+        raise short
+    return vectors
 
 
 def run_tsvad(tracks, targets: dict[str, np.ndarray]) -> SpeakerTracks:

@@ -26,6 +26,14 @@ are kept as its oracles: `mask_turns_oracle` (`tsvad.postprocess`),
 `target_samples_oracle` is the running-sum loop that cut round targets from
 the recording before `extract_target_embeddings` used
 `AudioBuffer.slice_seconds`.
+
+The whole-recording forms that block-by-block work replaced:
+`stft_magnitude_oracle` windows and transforms every frame at once, and
+`spectral_tracks_oracle` builds every frame's profile from it.
+`spectral_embed_oracle` is `SpectralEmbedder` on one buffer, with its own
+STFT, before segments shared one STFT per run; `per_segment` turns such a
+one-buffer embedder into the `embedder(buf, segments)` form, cutting each
+segment with `slice_seconds` as `_embed_segments` once did.
 """
 
 import itertools
@@ -33,9 +41,9 @@ import math
 
 import numpy as np
 
-from diarkit.audio import FRAME_SHIFT_S, log_mel, mean_normalize, stft_magnitude
+from diarkit.audio import FRAME_SHIFT_S, NFFT, frame_signal, log_mel, mean_normalize
 from diarkit.clustering import Clustering
-from diarkit.errors import InputError, NumericError, ParameterError
+from diarkit.errors import EmptyInputError, InputError, NumericError, ParameterError
 from diarkit.metrics import FRAME_S, DerReport
 from diarkit.models import EMBED_BINS, STAGE_STRIDES
 from diarkit.nn import batch_norm_infer
@@ -479,11 +487,18 @@ def compute_der_grid_oracle(
     return report
 
 
+def stft_magnitude_oracle(buf):
+    """`stft_magnitude`'s magnitudes, every frame windowed and transformed at
+    once."""
+    frames = frame_signal(buf)
+    window = np.hanning(frames.shape[1])
+    return np.abs(np.fft.rfft(frames * window, n=NFFT, axis=1)) / window.sum()
+
+
 def spectral_tracks_oracle(buf, targets):
     """`SpectralTsvad.tracks(buf, targets)`: per-frame cosine between the
     frame's band profile and each target, clipped to [0, 1]."""
-    spec = stft_magnitude(buf)
-    frames = _band_profile(spec.magnitudes)
+    frames = _band_profile(stft_magnitude_oracle(buf))
     norms = np.linalg.norm(frames, axis=1)
     unit = frames / np.maximum(norms, 1e-12)[:, None]
     out = np.empty((len(targets), frames.shape[0]))
@@ -540,3 +555,30 @@ def target_samples_oracle(buf, regions, max_s):
             break
         pieces.append(buf.samples[lo : lo + take])
     return np.concatenate(pieces)
+
+
+def spectral_embed_oracle(buf):
+    """`SpectralEmbedder` on a whole buffer from its own STFT; raises
+    EmptyInputError for silence, or for a buffer shorter than a frame."""
+    profile = _band_profile(stft_magnitude_oracle(buf).mean(axis=0)[None, :])[0]
+    norm = np.linalg.norm(profile)
+    if norm == 0.0:
+        raise EmptyInputError("silent segment has no spectral profile")
+    return profile / norm
+
+
+def per_segment(embed_one):
+    """`embedder(buf, segments)` from a one-buffer `embed_one(buf)`: each
+    segment cut with `slice_seconds`, and None where `embed_one` raises
+    EmptyInputError."""
+
+    def embedder(buf, segments):
+        out = []
+        for seg in segments:
+            try:
+                out.append(embed_one(buf.slice_seconds(seg.start_s, seg.end_s)))
+            except EmptyInputError:
+                out.append(None)
+        return out
+
+    return embedder

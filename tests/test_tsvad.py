@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diarkit import stubs
-from diarkit.audio import AudioBuffer
+from diarkit.audio import AudioBuffer, frame_signal
 from diarkit.errors import EmptyInputError, InsufficientSpeechError, ParameterError
 from diarkit.models import TsvadNet, init_tsvad_weights
 from diarkit.segments import Segment, merge_segments, segments_to_mask
@@ -25,16 +25,25 @@ from diarkit.tsvad import (
 )
 from oracles import (
     assignment_matrix_oracle,
+    per_segment,
     spectral_tracks_oracle,
     target_samples_oracle,
     tsvad_net_tracks_oracle,
 )
 
 
-class FirstSampleEmbedder:
+class PerSegment:
+    """An `embedder(buf, segments)` that embeds each segment's samples with
+    `embed`."""
+
+    def __call__(self, buf, segments):
+        return per_segment(self.embed)(buf, segments)
+
+
+class FirstSampleEmbedder(PerSegment):
     """Embedding = [mean, length_s, 0, ...]; enough to observe what was fed."""
 
-    def __call__(self, buf):
+    def embed(self, buf):
         out = np.zeros(128)
         out[0] = buf.samples.mean()
         out[1] = buf.samples.size / buf.sample_rate
@@ -98,14 +107,20 @@ class TestExtractTargets:
 
     @staticmethod
     def _fed(buf, regions, max_s=8.0):
-        """The samples the embedder is given for one speaker's `regions`."""
+        """The samples the embedder is given for one speaker's `regions`. It
+        is given none when they hold no sample of `buf`, and the speaker then
+        has too little speech."""
         fed = []
 
-        def embedder(b):
+        def embed(b):
             fed.append(b.samples)
             return b.samples[:1]
 
-        extract_target_embeddings(buf, {"a": regions}, embedder, max_s)
+        try:
+            extract_target_embeddings(buf, {"a": regions}, per_segment(embed), max_s)
+        except InsufficientSpeechError:
+            assert not fed
+            return np.zeros(0)
         return fed[0]
 
     @given(data=st.data())
@@ -122,6 +137,15 @@ class TestExtractTargets:
         np.testing.assert_array_equal(
             self._fed(buf, regions, max_s), target_samples_oracle(buf, regions, max_s)
         )
+
+    def test_regions_past_the_end_are_insufficient(self):
+        fed = []
+        embedder = per_segment(lambda b: fed.append(b) or np.ones(128))
+        with pytest.raises(InsufficientSpeechError, match="speaker b: speech cannot be embedded"):
+            extract_target_embeddings(
+                ramp_buffer(), {"a": [Segment(1.0, 2.0)], "b": [Segment(12.0, 13.0)]}, embedder
+            )
+        assert [b.samples.size for b in fed] == [8000]
 
     def test_region_of_no_samples_first(self):
         # 0.1 s to 0.10005 s is 0.4 samples at 8 kHz and rounds to none; the
@@ -245,8 +269,11 @@ class TestBindOncePerRecording:
             buf, regions, SpectralTsvad(), SpectralEmbedder(), speech, max_rounds=max_rounds
         )
         assert result.rounds == max_rounds
-        assert sum(b is buf for b in seen) == 1
-        assert len(seen) > result.rounds  # the embedder's target slices go through it too
+        # The bind's blocks are views of the recording: over all rounds they
+        # hold each of its frames once.
+        bound = [b for b in seen if np.shares_memory(b.samples, buf.samples)]
+        assert sum(frame_signal(b).shape[0] for b in bound) == frame_signal(buf).shape[0]
+        assert len(seen) - len(bound) >= result.rounds  # so do each round's targets
 
     def test_round_one_targets_come_before_the_bind(self):
         class Unbindable:
@@ -411,20 +438,20 @@ class IdentityRoundNet:
         return lambda targets: np.stack([self.frame_flags[int(round(t[2]))] for t in targets])
 
 
-class KeyedEmbedder:
+class KeyedEmbedder(PerSegment):
     """Marks which region bucket the samples came from (first-sample code)."""
 
-    def __call__(self, buf):
+    def embed(self, buf):
         out = np.zeros(128)
         out[2] = round(float(buf.samples[0]))
         return out
 
 
 class SilenceRejectingEmbedder(KeyedEmbedder):
-    def __call__(self, buf):
+    def embed(self, buf):
         if not buf.samples.any():
             raise EmptyInputError("silent")
-        return super().__call__(buf)
+        return super().embed(buf)
 
 
 class TestRunRounds:
