@@ -1,7 +1,7 @@
 """Speaker diarization toolkit: DSP front-end, bandwidth partition, VAD,
 segmentation, clustering, target-speaker detection, and DER scoring."""
 
-from .audio import AudioBuffer, FeatureMatrix, Spectrogram, log_mel, mean_normalize, read_wav, resample_to_8k, stft_magnitude, write_wav
+from .audio import AudioBuffer, FeatureMatrix, log_mel, mean_normalize, read_wav, resample_to_8k, stft_magnitude, write_wav
 from .partition import BandwidthClass, classify_bandwidth
 from .segments import Diarization, Segment
 
@@ -13,7 +13,6 @@ __all__ = [
     "Diarization",
     "FeatureMatrix",
     "Segment",
-    "Spectrogram",
     "classify_bandwidth",
     "log_mel",
     "mean_normalize",

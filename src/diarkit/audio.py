@@ -70,14 +70,6 @@ class AudioBuffer:
 
 
 @dataclass
-class Spectrogram:
-    """Window-sum-normalized STFT magnitudes, frames x (nfft/2 + 1)."""
-
-    magnitudes: np.ndarray
-    bin_hz: float
-
-
-@dataclass
 class FeatureMatrix:
     """Log-Mel energies, frames x bins, on the 25 ms / 10 ms grid."""
 
@@ -173,9 +165,9 @@ def frame_blocks(buf: AudioBuffer) -> Iterator[AudioBuffer]:
         yield AudioBuffer(buf.samples[lo : lo + (count - 1) * hop + frame_len], buf.sample_rate)
 
 
-def stft_magnitude(buf: AudioBuffer) -> Spectrogram:
-    """Hann-windowed magnitude STFT normalized by the window sum, taken one
-    block of frames at a time."""
+def stft_magnitude(buf: AudioBuffer) -> np.ndarray:
+    """Hann-windowed magnitude STFT normalized by the window sum, as
+    `[frames, nfft/2 + 1]`, taken one block of frames at a time."""
     frames = frame_signal(buf)
     if frames.shape[1] > NFFT:
         raise ParameterError(f"frame length {frames.shape[1]} exceeds nfft {NFFT}")
@@ -185,7 +177,7 @@ def stft_magnitude(buf: AudioBuffer) -> Spectrogram:
     for lo in range(0, frames.shape[0], BLOCK_FRAMES):
         block = frames[lo : lo + BLOCK_FRAMES]
         mags[lo : lo + block.shape[0]] = np.abs(np.fft.rfft(block * window, n=NFFT, axis=1)) / scale
-    return Spectrogram(mags, bin_hz=buf.sample_rate / NFFT)
+    return mags
 
 
 def mel_filterbank(n_mels: int, nfft: int, sample_rate: int) -> np.ndarray:
@@ -213,8 +205,7 @@ def log_mel(buf: AudioBuffer, n_mels: int) -> FeatureMatrix:
     """Log-Mel filterbank energies with 25 ms frames and 10 ms hop."""
     if n_mels < 1 or n_mels > NFFT // 2:
         raise ParameterError(f"n_mels {n_mels} outside 1..{NFFT // 2}")
-    spec = stft_magnitude(buf)
-    power = spec.magnitudes**2
+    power = stft_magnitude(buf) ** 2
     fb = mel_filterbank(n_mels, NFFT, buf.sample_rate)
     energies = power @ fb.T
     return FeatureMatrix(np.log(np.maximum(energies, LOG_FLOOR)))

@@ -43,7 +43,9 @@ from .pipeline import (
     run_pipeline,
     speech_regions_for,
 )
+from .stubs import reference_speech
 from .synth import SynthSpec, gen_audio_conversation
+from .vad import read_vad_file, write_vad_file
 
 
 def _wav_inputs(path_args: list[str]) -> list[Path]:
@@ -128,8 +130,6 @@ def cmd_diarize(args) -> int:
 
 
 def cmd_tsvad(args) -> int:
-    from .vad import read_vad_file
-
     cfg = _load_cfg(args)
     components = _components(args, cfg)
     file_id = Path(args.audio).stem
@@ -183,9 +183,6 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .stubs import reference_speech
-    from .vad import write_vad_file
-
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import audio
 from .audio import FeatureMatrix
 from .errors import EmptyInputError, ShapeError
 from .nn import (
@@ -274,13 +275,11 @@ class EmbedNet:
         """One embedding per segment of `buf`, from the segment's own
         mean-normalised log-Mel features; None for a segment too short to
         embed."""
-        from .audio import log_mel, mean_normalize  # at call time, so tracing can wrap them
-
         out = []
         for seg in segments:
             piece = buf.slice_seconds(seg.start_s, seg.end_s)
             try:
-                out.append(self.forward(mean_normalize(log_mel(piece, EMBED_BINS))))
+                out.append(self.forward(audio.mean_normalize(audio.log_mel(piece, EMBED_BINS))))
             except EmptyInputError:
                 out.append(None)
         return out
@@ -330,9 +329,7 @@ class TsvadNet:
     def bind(self, buf):
         """The recording's identity frames, computed once; the returned
         `tracks(targets)` runs one detection track per target over them."""
-        from .audio import log_mel, mean_normalize  # at call time, so tracing can wrap them
-
-        identity = self.identity_frames(mean_normalize(log_mel(buf, EMBED_BINS)))
+        identity = self.identity_frames(audio.mean_normalize(audio.log_mel(buf, EMBED_BINS)))
         return lambda targets: np.stack([self.detect(identity, t) for t in targets])
 
 

@@ -42,5 +42,5 @@ def classify_bandwidth(
     above = np.arange(NFFT // 2 + 1) * (buf.sample_rate / NFFT) > SPLIT_HZ
     peak = 0.0
     for block in frame_blocks(AudioBuffer(buf.samples[:n], buf.sample_rate)):
-        peak = max(peak, float(stft_magnitude(block).magnitudes[:, above].max()))
+        peak = max(peak, float(stft_magnitude(block)[:, above].max()))
     return BandwidthClass(NCTS if peak > threshold else CTS, peak)

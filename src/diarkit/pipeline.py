@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import weights
 from .audio import AudioBuffer, read_wav, resample_to_8k
 from .clustering import (
     ahc,
@@ -25,6 +26,7 @@ from .clustering import (
 from .config import PipelineConfig
 from .errors import ConfigError, DiarkitError, InsufficientSpeakersError
 from .metrics import diarization_to_turns, emit_rttm
+from .models import EmbedNet, TsvadNet, V2sScorer, VadNet
 from .partition import classify_bandwidth
 from .segmenter import EmbeddedSegment, recursive_merge, uniform_segments
 from .segments import Diarization, Segment
@@ -42,11 +44,12 @@ class Components:
 
     `embedder(buf, segments)` gives one vector per segment of `buf`, or None
     for a segment it cannot embed (silent, or too few frames); the pipeline
-    makes one call for a recording's segments. It is a plain callable, so a
-    wrapper such as `lambda *a: embedder(*a)` stands in for it. `vad(buf)`
-    gives a `SpeechMask`, and `tsvad_net.bind(buf)` a `tracks(targets)`
-    callable that gives one track per target. `scorer` rates pairs for
-    `similarity=v2s`."""
+    makes one call for a recording's segments, and each detection round one
+    call per speaker, on that speaker's target speech alone. It is a plain
+    callable, so a wrapper such as `lambda *a: embedder(*a)` stands in for
+    it. `vad(buf)` gives a `SpeechMask`, and `tsvad_net.bind(buf)` a
+    `tracks(targets)` callable that gives one track per target. `scorer`
+    rates pairs for `similarity=v2s`."""
 
     embedder: object
     tsvad_net: object
@@ -81,19 +84,13 @@ def build_stub_components(cfg: PipelineConfig | None = None) -> Components:
 
 def _load_scorer(cfg: PipelineConfig):
     """The pair scorer from `cfg.v2s_weights`, or None when it names none."""
-    from .models import V2sScorer
-    from .weights import load_weights  # at call time, so tracing can wrap it
-
-    return V2sScorer.from_store(load_weights(cfg.v2s_weights)) if cfg.v2s_weights else None
+    return V2sScorer.from_store(weights.load_weights(cfg.v2s_weights)) if cfg.v2s_weights else None
 
 
 def build_net_vad(cfg: PipelineConfig):
     """The VAD network from `cfg.vad_weights`, as a `vad(buf) -> SpeechMask`
     callable that averages it over `cfg`'s sliding windows."""
-    from .models import VadNet
-    from .weights import load_weights  # at call time, so tracing can wrap it
-
-    net = VadNet(load_weights(cfg.vad_weights))
+    net = VadNet(weights.load_weights(cfg.vad_weights))
 
     def vad(buf: AudioBuffer):
         # Read from this module's globals at each call, so it can be wrapped by name.
@@ -103,15 +100,12 @@ def build_net_vad(cfg: PipelineConfig):
 
 
 def build_net_components(cfg: PipelineConfig) -> Components:
-    from .models import EmbedNet, TsvadNet
-    from .weights import load_weights  # at call time, so tracing can wrap it
-
     if not cfg.embed_weights or not cfg.tsvad_weights:
         raise ConfigError(
             "embed_weights and tsvad_weights are required without --stub-embeddings"
         )
-    embedder = EmbedNet(load_weights(cfg.embed_weights))
-    tsvad_net = TsvadNet(load_weights(cfg.tsvad_weights))
+    embedder = EmbedNet(weights.load_weights(cfg.embed_weights))
+    tsvad_net = TsvadNet(weights.load_weights(cfg.tsvad_weights))
     vad = build_net_vad(cfg) if cfg.vad_weights else None
     return Components(embedder, tsvad_net, vad, _load_scorer(cfg))
 

@@ -20,7 +20,7 @@ from .audio import (
     stft_magnitude,
 )
 from .models import EMBED_DIM
-from .segments import Segment
+from .segments import Segment, merge_segments
 from .vad import SpeechMask
 
 ENERGY_REL_THRESHOLD = 0.1
@@ -56,7 +56,7 @@ class SpectralEmbedder:
             for i in members:
                 lo, hi = spans[i]
                 first = (lo - run_lo) // hop
-                rows = mags.magnitudes[first : first + _n_frames(hi - lo, frame_len, hop)]
+                rows = mags[first : first + _n_frames(hi - lo, frame_len, hop)]
                 means[i] = rows.mean(axis=0)
         profiles = _band_profile(means)
         # A segment without frames kept its zero row, so its profile is zero
@@ -104,7 +104,7 @@ class SpectralTsvad:
         unit = np.empty((frame_signal(buf).shape[0], EMBED_DIM))
         lo = 0
         for block in frame_blocks(buf):
-            frames = _band_profile(stft_magnitude(block).magnitudes)
+            frames = _band_profile(stft_magnitude(block))
             # Not the clustering cosine: silent frames have a zero profile and
             # must score 0, so the norm is clamped instead of raising.
             norms = np.maximum(np.linalg.norm(frames, axis=1), 1e-12)
@@ -136,6 +136,4 @@ class EnergyVad:
 
 def reference_speech(turns: list[tuple[Segment, str]]) -> list[Segment]:
     """Union of reference turns: the oracle speech regions for task-1 runs."""
-    from .segments import merge_segments
-
     return merge_segments([seg for seg, _ in turns])

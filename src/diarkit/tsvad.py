@@ -22,18 +22,6 @@ MIN_TARGET_SPEECH_S = 0.25
 
 
 @dataclass
-class SpeakerTracks:
-    """Per-speaker frame probability tracks of equal length."""
-
-    speaker_ids: list[str]
-    tracks: np.ndarray  # [n_speakers, n_frames] on the 10 ms grid
-
-    @property
-    def n_frames(self) -> int:
-        return self.tracks.shape[1]
-
-
-@dataclass
 class RoundResult:
     diarization: Diarization
     rounds: int
@@ -51,55 +39,48 @@ def extract_target_embeddings(
     """Embed up to the first `max_s` seconds of each speaker's speech.
 
     Regions are unioned, concatenated in time order, and truncated at the
-    budget; the result is deterministic for identical regions. The speakers'
-    samples go to the embedder in one call, end to end in one buffer with
-    one segment per speaker. Speakers are checked in order: the first one
-    with too little speech, or with speech the embedder cannot embed, raises
+    budget; the result is deterministic for identical regions. Each
+    speaker's samples go to the embedder as a buffer of their own, one
+    segment long, in speaker order. The first speaker with too little
+    speech, or with speech the embedder cannot embed, raises
     `InsufficientSpeechError`.
     """
     budget = int(round(max_s * buf.sample_rate))
-    pieces: dict[str, np.ndarray] = {}
-    short = None
+    vectors: dict[str, np.ndarray] = {}
     for speaker, regions in speaker_regions.items():
         merged = merge_segments(regions)
         available = sum(seg.duration for seg in merged)
         if available < MIN_TARGET_SPEECH_S:
-            short = InsufficientSpeechError(
+            raise InsufficientSpeechError(
                 f"speaker {speaker}: {available:.3f}s of speech, "
                 f"need >= {MIN_TARGET_SPEECH_S}s"
             )
-            break
         cut, taken = [], 0
         for seg in merged:
             if taken >= budget:
                 break
             cut.append(buf.slice_seconds(seg.start_s, seg.end_s).samples)
             taken += cut[-1].size
-        pieces[speaker] = np.concatenate(cut)[:budget]
-    joined = AudioBuffer(np.concatenate([np.zeros(0), *pieces.values()]), buf.sample_rate)
-    spans, lo = {}, 0
-    for speaker, samples in pieces.items():
+        samples = np.concatenate(cut)[:budget]
+        vector = None
         if samples.size:  # no samples: nothing to embed
-            spans[speaker] = Segment(lo / buf.sample_rate, (lo + samples.size) / buf.sample_rate)
-        lo += samples.size
-    vectors = dict(zip(spans, embedder(joined, list(spans.values()))))
-    for speaker in pieces:
-        if vectors.get(speaker) is None:
+            whole = Segment(0.0, samples.size / buf.sample_rate)
+            vector = embedder(AudioBuffer(samples, buf.sample_rate), [whole])[0]
+        if vector is None:
             raise InsufficientSpeechError(
                 f"speaker {speaker}: speech cannot be embedded (silent, or too few frames)"
             )
-    if short is not None:
-        raise short
+        vectors[speaker] = vector
     return vectors
 
 
-def run_tsvad(tracks, targets: dict[str, np.ndarray]) -> SpeakerTracks:
-    """One detection pass per target over the recording that `tracks`, a
-    detector's `bind(buf)`, was bound to."""
+def run_tsvad(tracks, targets: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One detection track per target, in target order, over the recording
+    that `tracks`, a detector's `bind(buf)`, was bound to."""
     if not targets:
         raise ParameterError("run_tsvad needs at least one target")
-    ids = list(targets)
-    return SpeakerTracks(ids, np.asarray(tracks([targets[s] for s in ids]), dtype=np.float64))
+    rows = np.asarray(tracks(list(targets.values())), dtype=np.float64)
+    return dict(zip(targets, rows))
 
 
 def median_filter(track: np.ndarray, taps: int = PipelineConfig.median_taps) -> np.ndarray:
@@ -118,26 +99,27 @@ def median_filter(track: np.ndarray, taps: int = PipelineConfig.median_taps) -> 
 
 
 def postprocess(
-    tracks: SpeakerTracks,
+    tracks: dict[str, np.ndarray],
     speech: list[Segment],
     threshold: float = PipelineConfig.tsvad_threshold,
     median_taps: int = PipelineConfig.median_taps,
     recording_id: str = "rec",
 ) -> Diarization:
-    """Median-filter each track, threshold inside speech regions, and fall
-    back to the per-frame argmax speaker when no track reaches threshold.
+    """Median-filter each speaker's track, threshold inside speech regions,
+    and fall back to the per-frame argmax speaker when no track reaches
+    threshold. The tracks are all of one length, on the 10 ms grid.
 
     Frames outside the speech regions stay unassigned. Consecutive frames
     assigned to the same speaker merge into segments.
     """
-    filtered = np.stack([median_filter(t, median_taps) for t in tracks.tracks])
-    speech_mask = segments_to_mask(speech, tracks.n_frames)
+    filtered = np.stack([median_filter(t, median_taps) for t in tracks.values()])
+    speech_mask = segments_to_mask(speech, filtered.shape[1])
     assigned = filtered >= threshold
     none_hit = ~assigned.any(axis=0)
     argmax = filtered.argmax(axis=0)  # ties resolve to the lower speaker index
     assigned[argmax[none_hit], np.nonzero(none_hit)[0]] = True
     assigned &= speech_mask[None, :]
-    regions = {spk: mask_to_segments(row) for spk, row in zip(tracks.speaker_ids, assigned)}
+    regions = {spk: mask_to_segments(row) for spk, row in zip(tracks, assigned)}
     return Diarization.from_regions(recording_id, regions)
 
 

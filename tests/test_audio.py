@@ -130,24 +130,22 @@ class TestStft:
         # Window-sum normalization pins the DC bin at exactly 1.0. A Hann
         # window necessarily spreads DC into its mainlobe and first
         # sidelobes, so "everything else is tiny" holds past bin 8.
-        spec = stft_magnitude(AudioBuffer(np.ones(16000), 16000))
-        assert np.all(np.abs(spec.magnitudes[:, 0] - 1.0) < 1e-6)
-        assert np.all(spec.magnitudes[:, 8:] < 1e-3)
-        assert np.all(spec.magnitudes[:, 1:] < spec.magnitudes[:, :1])
+        mags = stft_magnitude(AudioBuffer(np.ones(16000), 16000))
+        assert np.all(np.abs(mags[:, 0] - 1.0) < 1e-6)
+        assert np.all(mags[:, 8:] < 1e-3)
+        assert np.all(mags[:, 1:] < mags[:, :1])
 
     def test_bin_centered_sine_peak(self):
         # Closed-form oracle: window-sum normalization puts a full-scale
         # bin-centered sine at magnitude 1/2.
         bin_hz = 16000 / 512
         freq = 32 * bin_hz  # exactly bin 32
-        spec = stft_magnitude(tone(freq))
-        peaks = spec.magnitudes[:, 32]
-        assert np.all(np.abs(peaks - 0.5) < 0.01)
-        assert spec.bin_hz == pytest.approx(bin_hz)
+        mags = stft_magnitude(tone(freq))
+        assert mags.shape[1] == 257  # nfft / 2 + 1 bins, bin 32 at 1 kHz
+        assert np.all(np.abs(mags[:, 32] - 0.5) < 0.01)
 
     def test_zero_input(self):
-        spec = stft_magnitude(AudioBuffer(np.zeros(1000), 16000))
-        assert np.all(spec.magnitudes == 0.0)
+        assert np.all(stft_magnitude(AudioBuffer(np.zeros(1000), 16000)) == 0.0)
 
     def test_too_short(self):
         with pytest.raises(EmptyInputError):
@@ -157,7 +155,7 @@ class TestStft:
         rng = np.random.default_rng(3)
         base = rng.normal(0, 0.1, 8000)
         energies = [
-            np.sum(stft_magnitude(AudioBuffer(np.clip(a * base, -1, 1), 16000)).magnitudes ** 2)
+            np.sum(stft_magnitude(AudioBuffer(np.clip(a * base, -1, 1), 16000)) ** 2)
             for a in (0.5, 1.0, 2.0, 4.0)
         ]
         assert all(e1 < e2 for e1, e2 in zip(energies, energies[1:]))

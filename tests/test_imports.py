@@ -34,9 +34,28 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def local_imports(source: str) -> list[str]:
+    """`line N` of each import statement inside a function or class body."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    lines = {
+        node.lineno
+        for scope in ast.walk(ast.parse(source))
+        if isinstance(scope, scopes)
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {n}" for n in sorted(lines)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    """No import waits for call time: every module imports at its top."""
+    assert local_imports(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize(
@@ -52,3 +71,17 @@ def test_no_unused_module_imports(path):
 )
 def test_the_check_itself(source, unused):
     assert unused_imports(source) == unused
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import os\n", []),
+        ("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import os\n", []),
+        ("def f():\n    import os\n", ["line 2"]),
+        ("class C:\n    def f(self):\n        from a import b\n", ["line 3"]),
+    ],
+    ids=["top", "type-checking", "function", "method"],
+)
+def test_the_local_check_itself(source, found):
+    assert local_imports(source) == found

@@ -11,9 +11,9 @@ from diarkit.partition import classify_bandwidth
 def direct_peak_above_4k(buf, horizon_s=100.0):
     """Independent computation of the decision statistic."""
     n = min(buf.samples.size, int(horizon_s * buf.sample_rate))
-    spec = stft_magnitude(AudioBuffer(buf.samples[:n], buf.sample_rate))
-    freqs = np.arange(spec.magnitudes.shape[1]) * spec.bin_hz
-    return float(spec.magnitudes[:, freqs > 4000.0].max())
+    mags = stft_magnitude(AudioBuffer(buf.samples[:n], buf.sample_rate))
+    freqs = np.arange(mags.shape[1]) * buf.sample_rate / 512
+    return float(mags[:, freqs > 4000.0].max())
 
 
 def sine(freq, duration_s=10.0, amp=1.0):

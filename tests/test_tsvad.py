@@ -16,7 +16,6 @@ from diarkit.stubs import SpectralEmbedder, SpectralTsvad, reference_speech
 from diarkit.synth import SynthSpec, gen_audio_conversation
 from diarkit.tsvad import (
     MIN_TARGET_SPEECH_S,
-    SpeakerTracks,
     extract_target_embeddings,
     median_filter,
     postprocess,
@@ -147,6 +146,28 @@ class TestExtractTargets:
             )
         assert [b.samples.size for b in fed] == [8000]
 
+    def test_each_speaker_alone_in_order(self):
+        calls = []
+
+        def embedder(buf, segments):
+            calls.append((buf.samples.size, segments))
+            return [np.ones(128)] * len(segments)
+
+        regions = {"b": [Segment(4.0, 6.0)], "a": [Segment(0.0, 1.0), Segment(2.0, 2.5)]}
+        targets = extract_target_embeddings(ramp_buffer(), regions, embedder)
+        assert list(targets) == ["b", "a"]
+        assert calls == [(16000, [Segment(0.0, 2.0)]), (12000, [Segment(0.0, 1.5)])]
+
+    def test_first_failing_speaker_raises(self):
+        # "a" is silent and "b" too short: "a" comes first, so it is named.
+        buf = AudioBuffer(np.r_[np.zeros(4 * 8000), np.ones(4 * 8000)], 8000)
+        regions = {"a": [Segment(0.0, 2.0)], "b": [Segment(5.0, 5.1)]}
+        with pytest.raises(InsufficientSpeechError, match="speaker a: speech cannot be embedded"):
+            extract_target_embeddings(buf, regions, SpectralEmbedder())
+        regions = {"c": [Segment(4.0, 6.0)], "b": [Segment(5.0, 5.1)], "a": [Segment(0.0, 2.0)]}
+        with pytest.raises(InsufficientSpeechError, match="speaker b: 0.100s of speech"):
+            extract_target_embeddings(buf, regions, SpectralEmbedder())
+
     def test_region_of_no_samples_first(self):
         # 0.1 s to 0.10005 s is 0.4 samples at 8 kHz and rounds to none; the
         # speech after it still makes the target.
@@ -162,18 +183,18 @@ class TestRunTsvad:
         net = MatrixStubNet(identity)
         buf = ramp_buffer(1.0)
         t = rng.normal(size=128)
-        tracks = run_tsvad(net.bind(buf), {"a": t, "b": rng.normal(size=128)})
-        assert tracks.tracks.shape == (2, 50)
-        assert tracks.speaker_ids == ["a", "b"]
+        tracks = run_tsvad(net.bind(buf), {"b": rng.normal(size=128), "a": t})
+        assert list(tracks) == ["b", "a"]  # target order
+        assert [track.shape for track in tracks.values()] == [(50,), (50,)]
         again = run_tsvad(net.bind(buf), {"a": t, "b": np.ones(128)})
-        np.testing.assert_array_equal(tracks.tracks[0], again.tracks[0])
+        np.testing.assert_array_equal(tracks["a"], again["a"])
 
     def test_identical_targets_identical_tracks(self):
         rng = np.random.default_rng(1)
         net = MatrixStubNet(rng.normal(size=(30, 128)))
         t = rng.normal(size=128)
         tracks = run_tsvad(net.bind(ramp_buffer(1.0)), {"a": t, "b": t.copy()})
-        np.testing.assert_array_equal(tracks.tracks[0], tracks.tracks[1])
+        np.testing.assert_array_equal(tracks["a"], tracks["b"])
 
     def test_stub_matches_hand_oracle(self):
         rng = np.random.default_rng(2)
@@ -183,7 +204,7 @@ class TestRunTsvad:
         expected = np.array(
             [1.0 / (1.0 + math.exp(-float(identity[i] @ target))) for i in range(20)]
         )
-        np.testing.assert_allclose(tracks.tracks[0], expected, atol=1e-6)
+        np.testing.assert_allclose(tracks["a"], expected, atol=1e-6)
 
     def test_no_targets(self):
         with pytest.raises(ParameterError):
@@ -273,7 +294,8 @@ class TestBindOncePerRecording:
         # hold each of its frames once.
         bound = [b for b in seen if np.shares_memory(b.samples, buf.samples)]
         assert sum(frame_signal(b).shape[0] for b in bound) == frame_signal(buf).shape[0]
-        assert len(seen) - len(bound) >= result.rounds  # so do each round's targets
+        # Each round embeds each speaker's target alone, in one STFT.
+        assert len(seen) - len(bound) == len(regions) * result.rounds
 
     def test_round_one_targets_come_before_the_bind(self):
         class Unbindable:
@@ -316,7 +338,7 @@ class TestMedianFilter:
 
 
 def two_tracks(a, b):
-    return SpeakerTracks(["a", "b"], np.stack([a, b]))
+    return {"a": a, "b": b}
 
 
 class TestPostprocess:
@@ -418,8 +440,8 @@ class TestConvergenceTest:
         speech = [Segment(lo / 1000, (lo + length) / 1000) for lo, length in spans]
         taps = data.draw(st.sampled_from([1, 3, 11]), label="taps")
         ids = [f"s{i}" for i in range(k)]
-        da = postprocess(SpeakerTracks(ids, a), speech, median_taps=taps)
-        db = postprocess(SpeakerTracks(ids, b), speech, median_taps=taps)
+        da = postprocess(dict(zip(ids, a)), speech, median_taps=taps)
+        db = postprocess(dict(zip(ids, b)), speech, median_taps=taps)
         same_matrix = np.array_equal(
             assignment_matrix_oracle(da, ids, n), assignment_matrix_oracle(db, ids, n)
         )
