@@ -198,11 +198,11 @@ def compute_der(
     ref: Diarization,
     hyp: Diarization,
     collar_s: float = 0.0,
-    score_overlap: bool = True,
     uem: list[Segment] | None = None,
 ) -> DerReport:
     """Diarization error rate of `hyp` against `ref`, by a sweep over the
-    elementary intervals between quantised boundaries."""
+    elementary intervals between quantised boundaries. Overlapped speech is
+    scored, as DIHARD scores it."""
     if ref.recording_id != hyp.recording_id:
         raise InputError(
             f"recording mismatch: ref {ref.recording_id!r} vs hyp {hyp.recording_id!r}"
@@ -234,8 +234,6 @@ def compute_der(
     scored = ~_cover(points, collar_lo, collar_hi)[0]
     if uem is not None:
         scored &= _cover(points, uem_lo, uem_hi)[0]
-    if not score_overlap:
-        scored &= ref_on.sum(axis=0) <= 1
     keep = np.flatnonzero(scored)
     ref_on, hyp_on = ref_on[:, keep], hyp_on[:, keep]
     length = np.diff(points)[keep]

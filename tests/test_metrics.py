@@ -180,14 +180,6 @@ class TestUemAndCollar:
         assert strict.miss > 0.0
         assert forgiving.der == 0.0
 
-    def test_overlap_exclusion(self):
-        ref = diar("r", (0, 10, "A"), (5, 10, "B"))
-        hyp = diar("r", (0, 10, "A"))
-        scored = compute_der(ref, hyp, score_overlap=False)
-        # overlapped frames (5..10) excluded: remaining ref is A on 0..5
-        assert scored.total_ref_s == pytest.approx(5.0)
-        assert scored.der == 0.0
-
 
 class TestDiarizationConversion:
     def test_round_trip(self):
@@ -287,12 +279,11 @@ class TestMatchesGridScorer:
         diarizations(1, 6),
         diarizations(0, 6),
         st.sampled_from([0.0, 0.1, 0.25, 0.5]),
-        st.booleans(),
         uems(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_identical_to_grid(self, ref, hyp, collar_s, score_overlap, uem):
-        kwargs = dict(collar_s=collar_s, score_overlap=score_overlap, uem=uem)
+    def test_identical_to_grid(self, ref, hyp, collar_s, uem):
+        kwargs = dict(collar_s=collar_s, uem=uem)
         try:
             want = compute_der_grid_oracle(ref, hyp, **kwargs)
         except InputError:
@@ -324,7 +315,7 @@ class TestMatchesGridScorer:
     def test_empty_hypothesis(self):
         ref = Diarization("r", [(Segment(0.0, 4.0), "a"), (Segment(2.0, 6.0005), "b")])
         hyp = Diarization("r", [])
-        for kwargs in ({}, {"collar_s": 0.25}, {"score_overlap": False}):
+        for kwargs in ({}, {"collar_s": 0.25}):
             got = compute_der(ref, hyp, **kwargs)
             assert got == compute_der_grid_oracle(ref, hyp, **kwargs)
             assert got.miss == got.der == 1.0 and got.mapping == {}
