@@ -24,8 +24,9 @@ class EmbeddedSegment:
 
 
 def uniform_segments(speech: list[Segment], win_s: float, shift_s: float) -> list[Segment]:
-    """Slide a fixed window over each speech region; a region shorter than
-    the window is kept whole."""
+    """Slide a fixed window over each speech region, and stretch the last
+    window to the region's end; a region shorter than the window is kept
+    whole."""
     if win_s <= 0 or shift_s <= 0 or shift_s > win_s:
         raise ParameterError(f"invalid window params win={win_s} shift={shift_s}")
     out: list[Segment] = []
@@ -38,6 +39,7 @@ def uniform_segments(speech: list[Segment], win_s: float, shift_s: float) -> lis
             start = region.start_s + k * shift_s
             out.append(Segment(start, start + win_s))
             k += 1
+        out[-1] = Segment(out[-1].start_s, region.end_s)
     return sorted(out, key=lambda s: (s.start_s, s.end_s))
 
 

@@ -61,11 +61,11 @@ GOLDEN = {
         "01025c14d3742a405a121af4d4f31b810a880e556775ba1214b332de9c1da714",
     ),
     (TASK1, "ncts4"): (
-        "f29c390edb03b4d4968008b62824732f683dfbaf7385da8413e7ac5ca985f20e",
+        "d1de6eeb50b4ea1965546d8ff93c074e3fa7912305a3e558db491358e382fef7",
         "c074a85b4108b56106b5815105fb3963f4d810a3691c3acb9b33612fd6eba6af",
     ),
     (TASK1, "ncts8"): (
-        "636b74a5f0bb7f32400731d1aa666f9fb9a8b933864791193ea0ad0b5342a2a7",
+        "3ba37dd6e585d3cb1158f75811305a48831aba7b207b765ec32678c85d597197",
         "6c866f9b060f65771a6a1d370faab195022e4fe23a14a5453cfa2281ed23d80e",
     ),
     (TASK2, "cts2"): (
@@ -73,7 +73,7 @@ GOLDEN = {
         "01025c14d3742a405a121af4d4f31b810a880e556775ba1214b332de9c1da714",
     ),
     (TASK2, "ncts4"): (
-        "1b478a6c1426455685f3edd20c1fb1ea700c9f8471e4bc02fc8f9e9eb63285ef",
+        "8052594140bb7477d43d7c9285652588255c9929822203afbd76fd75d030070e",
         "e1deabd200c049b9fb99e7c39c8615a6ab0ab44d91e0bf8cfc40c5a99d9b9194",
     ),
 }
@@ -82,14 +82,14 @@ GOLDEN = {
 # `init_tsvad_weights(0)`; the stub embedder finds the two speakers, and the
 # detector runs four rounds.
 NET_RECORDING = SynthSpec(n_speakers=2, duration_s=2.0, turn_min_s=0.5, turn_max_s=1.0, seed=32)
-NET_GOLDEN_RTTM = "8627b192138308aa1ee81375c0914978cbe8f81fcce541add2ec843ad9f166f2"
+NET_GOLDEN_RTTM = "7235ab8de3ae2f805516fb3e02e60c01053f1ed16e984b6cacbb7f35e557b5c9"
 
 # A 4 s wideband three-speaker talk through `EmbedNet` with the weights of
 # `init_embed_weights(0)`. The random embeddings cluster as one speaker.
 NET_EMBED_RECORDING = SynthSpec(
     n_speakers=3, duration_s=4.0, turn_min_s=0.8, turn_max_s=1.6, noise_sigma=0.4, seed=33
 )
-NET_EMBED_GOLDEN_RTTM = "a0660196b9ac69c55f4e33b0731194f6835674be29aa0b0ea76b00e97fe4c3dc"
+NET_EMBED_GOLDEN_RTTM = "06800814bc794564098d3501756e06559bc16d8b5a309f208a30bda3d7a304f7"
 
 # The speech regions `VadNet` finds with the weights of `init_vad_weights(0)`,
 # which score this recording's frames between 0.34 and 0.51, at a threshold

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarkit.errors import NumericError, ParameterError
 from diarkit.segmenter import EmbeddedSegment, recursive_merge, uniform_segments
@@ -54,6 +56,31 @@ class TestUniformSegments:
             for seg in uniform_segments([Segment(start, end)], win, shift):
                 assert seg.start_s >= start - 1e-9
                 assert seg.end_s <= end + 1e-9
+
+    @given(
+        start_ms=st.integers(0, 600_000),
+        length_ms=st.integers(1, 20_000),
+        win_ms=st.integers(100, 3000),
+        shift_frac=st.floats(0.02, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_windows_cover_the_region_to_its_end(self, start_ms, length_ms, win_ms, shift_frac):
+        region = Segment(start_ms / 1000, (start_ms + length_ms) / 1000)
+        win = win_ms / 1000
+        shift = max(shift_frac * win, 0.001)
+        segs = uniform_segments([region], win, shift)
+        if region.duration < win:
+            assert segs == [region]
+            return
+        assert segs[0].start_s == region.start_s
+        assert segs[-1].end_s == region.end_s
+        for prev, seg in zip(segs, segs[1:]):
+            assert seg.start_s - prev.start_s == pytest.approx(shift, abs=1e-9)
+            assert seg.start_s <= prev.end_s + 1e-9  # no gap between windows
+        for seg in segs[:-1]:
+            assert seg.duration == pytest.approx(win, abs=1e-9)
+        # The last window takes the tail that a whole shift would not reach.
+        assert win - 1e-9 <= segs[-1].duration < win + shift
 
 
 class TestRecursiveMerge:
