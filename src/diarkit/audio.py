@@ -7,7 +7,9 @@ Conventions fixed here and relied on everywhere else:
   - Mel filters use the 2595*log10(1 + f/700) scale over 0..Nyquist
   - log-Mel uses natural log with a 1e-10 power floor
   - whole-recording passes over frames work in blocks of BLOCK_FRAMES
-    frames, so their temporaries do not grow with the recording
+    frames, and resampling in chunks of RESAMPLE_CHUNK output samples, so
+    their temporaries do not grow with the recording; reading makes no
+    float64 temporary beside the result
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ FRAME_LEN_S = 0.025
 FRAME_SHIFT_S = 0.010
 NFFT = 512
 LOG_FLOOR = 1e-10
-# Frames per block of transient work: about 20 s of audio, some 20 MB of
+# Frames per block of transient work: about 20 s of audio, under 16 MB of
 # windowed frames and spectra at a time.
 BLOCK_FRAMES = 2048
 
@@ -37,6 +39,9 @@ BLOCK_FRAMES = 2048
 # The 101-tap Hamming window gives ~53 dB stopband attenuation.
 DECIMATION_CUTOFF_HZ = 3800.0
 DECIMATION_TAPS = 101
+# Output samples per chunk of the decimation: about 8 s at 8 kHz, some 2 MB
+# of input span and convolution at a time.
+RESAMPLE_CHUNK = 1 << 16
 
 SUPPORTED_RATES = (8000, 16000)
 
@@ -108,7 +113,11 @@ def read_wav(path) -> AudioBuffer:
         raise UnsupportedFormatError(f"{path}: {8 * sampwidth}-bit PCM, expected 16-bit")
     if rate not in SUPPORTED_RATES:
         raise UnsupportedFormatError(f"{path}: sample rate {rate}, expected 8000 or 16000")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    if len(raw) % 2:
+        raise FormatError(f"{path}: truncated file: data ends mid-sample")
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    del raw
+    samples /= 32768.0
     return AudioBuffer(samples, rate)
 
 
@@ -123,19 +132,33 @@ def write_wav(path, buf: AudioBuffer) -> None:
 
 
 def resample_to_8k(buf: AudioBuffer) -> AudioBuffer:
-    """Decimate 16 kHz audio by 2 after an anti-alias low-pass."""
+    """Decimate 16 kHz audio by 2 after an anti-alias low-pass, one chunk of
+    RESAMPLE_CHUNK output samples at a time.
+
+    Output sample k is sample 2k + delay of the full convolution with the
+    filter. Each chunk convolves its own input span, which holds every
+    input sample its outputs reach and runs to the recording's edge where
+    theirs does, so each output is the same dot product over the same
+    samples as in one whole-recording `np.convolve`, to the last bit. A span
+    shorter than the filter is widened to the left: `np.convolve` would
+    otherwise swap its arguments and sum in another order."""
     if buf.sample_rate != 16000:
         raise ParameterError(f"expected 16 kHz input, got {buf.sample_rate}")
-    if buf.samples.size == 0:
-        return AudioBuffer(np.zeros(0), 8000)
+    x = buf.samples
     n = np.arange(DECIMATION_TAPS) - (DECIMATION_TAPS - 1) / 2
     fc = DECIMATION_CUTOFF_HZ / 16000.0
     h = 2 * fc * np.sinc(2 * fc * n) * np.hamming(DECIMATION_TAPS)
-    filtered = np.convolve(buf.samples, h / h.sum(), mode="full")
+    h = h / h.sum()
     delay = (DECIMATION_TAPS - 1) // 2
-    filtered = filtered[delay : delay + buf.samples.size]
-    # A copy, so the result does not pin the whole 16 kHz-length array.
-    return AudioBuffer(filtered[::2].copy(), 8000)
+    out = np.empty((x.size + 1) // 2)
+    for k0 in range(0, out.size, RESAMPLE_CHUNK):
+        k1 = min(k0 + RESAMPLE_CHUNK, out.size)
+        first, last = delay + 2 * k0, delay + 2 * (k1 - 1)  # indices into the full convolution
+        hi = min(x.size, last + 1)
+        lo = max(0, min(first - (DECIMATION_TAPS - 1), hi - DECIMATION_TAPS))
+        full = np.convolve(x[lo:hi], h, mode="full")
+        out[k0:k1] = full[first - lo : last - lo + 1 : 2]
+    return AudioBuffer(out, 8000)
 
 
 def frame_geometry(sample_rate: int) -> tuple[int, int]:
@@ -175,8 +198,9 @@ def stft_magnitude(buf: AudioBuffer) -> np.ndarray:
     scale = window.sum()
     mags = np.empty((frames.shape[0], NFFT // 2 + 1))
     for lo in range(0, frames.shape[0], BLOCK_FRAMES):
-        block = frames[lo : lo + BLOCK_FRAMES]
-        mags[lo : lo + block.shape[0]] = np.abs(np.fft.rfft(block * window, n=NFFT, axis=1)) / scale
+        out = mags[lo : lo + BLOCK_FRAMES]
+        np.abs(np.fft.rfft(frames[lo : lo + BLOCK_FRAMES] * window, n=NFFT, axis=1), out=out)
+        out /= scale
     return mags
 
 

@@ -31,15 +31,16 @@ from .metrics import (
     rttm_file_ids,
     turns_to_diarization,
 )
-from .partition import classify_bandwidth
 from .pipeline import (
     TASK1,
     TASK2,
     Components,
+    bandwidth_class,
     build_net_components,
     build_net_vad,
     build_stub_components,
     detection_rounds,
+    narrowband,
     run_pipeline,
     speech_regions_for,
 )
@@ -77,7 +78,7 @@ def cmd_partition(args) -> int:
     for path in _wav_inputs(args.inputs):
         try:
             buf = read_wav(path)
-            cls = classify_bandwidth(buf, cfg.bandwidth_threshold, cfg.bandwidth_horizon_s)
+            cls = bandwidth_class(buf, cfg)
             print(f"{path.stem}\t{cls.value}\t{cls.peak_above_4k:.6f}")
         except DiarkitError as exc:
             print(f"{path.stem}\tERROR\t{exc}", file=sys.stderr)
@@ -134,7 +135,7 @@ def cmd_tsvad(args) -> int:
     components = _components(args, cfg)
     file_id = Path(args.audio).stem
     try:
-        buf = read_wav(args.audio)
+        buf = narrowband(read_wav(args.audio))
         turns = parse_file(args.rttm, parse_rttm)
         diar = turns_to_diarization(turns, file_id)
         if not diar.turns:

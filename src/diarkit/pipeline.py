@@ -1,6 +1,10 @@
 """Full-pipeline orchestration: bandwidth partition, then the narrowband
 (AHC + overlap + TSVAD rounds) or wideband (spectral clustering) path, with
-per-recording isolation and a JSON-lines run report."""
+per-recording isolation and a JSON-lines run report.
+
+The narrowband path holds one copy of the recording: a 16 kHz call is
+downsampled to 8 kHz right after VAD, and the 16 kHz buffer is released
+before clustering and detection."""
 
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .config import PipelineConfig
 from .errors import ConfigError, DiarkitError, InsufficientSpeakersError
 from .metrics import diarization_to_turns, emit_rttm
 from .models import EmbedNet, TsvadNet, V2sScorer, VadNet
-from .partition import classify_bandwidth
+from .partition import CTS, BandwidthClass, classify_bandwidth
 from .segmenter import EmbeddedSegment, recursive_merge, uniform_segments
 from .segments import Diarization, Segment
 from .stubs import EnergyVad, SpectralEmbedder, SpectralTsvad
@@ -166,7 +170,16 @@ def cluster_two_speakers(
     return regions
 
 
-def _narrowband(buf: AudioBuffer) -> AudioBuffer:
+def bandwidth_class(buf: AudioBuffer, cfg: PipelineConfig) -> BandwidthClass:
+    """8 kHz input is already narrowband: CTS, with no energy above 4 kHz.
+    Other input is classified by `classify_bandwidth` at `cfg`'s threshold
+    and horizon."""
+    if buf.sample_rate == 8000:
+        return BandwidthClass(CTS, 0.0)
+    return classify_bandwidth(buf, cfg.bandwidth_threshold, cfg.bandwidth_horizon_s)
+
+
+def narrowband(buf: AudioBuffer) -> AudioBuffer:
     """The narrowband path runs at 8 kHz: a 16 kHz buffer is downsampled."""
     return resample_to_8k(buf) if buf.sample_rate == 16000 else buf
 
@@ -175,10 +188,10 @@ def detection_rounds(
     buf: AudioBuffer, regions: dict[str, list[Segment]], speech: list[Segment],
     components: Components, cfg: PipelineConfig, recording_id: str,
 ) -> RoundResult:
-    """Target-speaker detection rounds from initial per-speaker regions, at
-    8 kHz and at `cfg`'s operating points."""
+    """Target-speaker detection rounds on 8 kHz `buf` from initial
+    per-speaker regions, at `cfg`'s operating points."""
     return run_rounds(
-        _narrowband(buf), regions, components.tsvad_net, components.embedder, speech,
+        buf, regions, components.tsvad_net, components.embedder, speech,
         threshold=cfg.tsvad_threshold, median_taps=cfg.median_taps,
         max_rounds=cfg.max_rounds, target_max_s=cfg.target_max_s, recording_id=recording_id,
     )
@@ -191,9 +204,8 @@ def diarize_cts(
     cfg: PipelineConfig,
     recording_id: str,
 ) -> tuple[Diarization, int, str]:
-    """Narrowband path: downsample if needed, cluster into two speakers, then
+    """Narrowband path on 8 kHz `buf`: cluster into two speakers, then
     iterate target-speaker detection rounds."""
-    buf = _narrowband(buf)
     regions = cluster_two_speakers(buf, speech, components, cfg)
     if regions is None:
         return Diarization.from_regions(recording_id, {"spk0": speech}), 0, "single cluster"
@@ -247,12 +259,9 @@ def process_recording(
         result.timing["read"] = round(timer() - t0, 4)
 
         t0 = timer()
-        if buf.sample_rate == 16000:
-            bandwidth = classify_bandwidth(buf, cfg.bandwidth_threshold, cfg.bandwidth_horizon_s)
-            result.bandwidth = bandwidth.value
-            result.peak_above_4k = round(bandwidth.peak_above_4k, 6)
-        else:
-            result.bandwidth = "CTS"  # already narrowband
+        bandwidth = bandwidth_class(buf, cfg)
+        result.bandwidth = bandwidth.value
+        result.peak_above_4k = round(bandwidth.peak_above_4k, 6)
         result.timing["partition"] = round(timer() - t0, 4)
 
         t0 = timer()
@@ -261,8 +270,13 @@ def process_recording(
         if not speech:
             raise DiarkitError("no speech detected")
 
+        if result.bandwidth == CTS:
+            t0 = timer()
+            buf = narrowband(buf)  # rebound, so the 16 kHz buffer is freed here
+            result.timing["resample"] = round(timer() - t0, 4)
+
         t0 = timer()
-        if result.bandwidth == "CTS":
+        if result.bandwidth == CTS:
             diar, rounds, warning = diarize_cts(buf, speech, components, cfg, file_id)
             result.rounds = rounds
             result.warning = warning

@@ -28,8 +28,10 @@ the recording before `extract_target_embeddings` used
 `AudioBuffer.slice_seconds`.
 
 The whole-recording forms that block-by-block work replaced:
-`stft_magnitude_oracle` windows and transforms every frame at once, and
-`spectral_tracks_oracle` builds every frame's profile from it.
+`stft_magnitude_oracle` windows and transforms every frame at once,
+`spectral_tracks_oracle` builds every frame's profile from it, and
+`resample_to_8k_oracle` low-passes the whole recording with one
+`np.convolve` before it decimates.
 `spectral_embed_oracle` is `SpectralEmbedder` on one buffer, with its own
 STFT, before segments shared one STFT per run; `per_segment` turns such a
 one-buffer embedder into the `embedder(buf, segments)` form, cutting each
@@ -41,7 +43,15 @@ import math
 
 import numpy as np
 
-from diarkit.audio import FRAME_SHIFT_S, NFFT, frame_signal, log_mel, mean_normalize
+from diarkit.audio import (
+    DECIMATION_CUTOFF_HZ,
+    DECIMATION_TAPS,
+    FRAME_SHIFT_S,
+    NFFT,
+    frame_signal,
+    log_mel,
+    mean_normalize,
+)
 from diarkit.clustering import Clustering
 from diarkit.errors import EmptyInputError, InputError, NumericError, ParameterError
 from diarkit.metrics import FRAME_S, DerReport
@@ -493,6 +503,19 @@ def stft_magnitude_oracle(buf):
     frames = frame_signal(buf)
     window = np.hanning(frames.shape[1])
     return np.abs(np.fft.rfft(frames * window, n=NFFT, axis=1)) / window.sum()
+
+
+def resample_to_8k_oracle(buf):
+    """`resample_to_8k`'s samples, from one full-length convolution of the
+    16 kHz samples with the anti-alias filter, then every second sample."""
+    if buf.samples.size == 0:
+        return np.zeros(0)
+    n = np.arange(DECIMATION_TAPS) - (DECIMATION_TAPS - 1) / 2
+    fc = DECIMATION_CUTOFF_HZ / 16000.0
+    h = 2 * fc * np.sinc(2 * fc * n) * np.hamming(DECIMATION_TAPS)
+    filtered = np.convolve(buf.samples, h / h.sum(), mode="full")
+    delay = (DECIMATION_TAPS - 1) // 2
+    return filtered[delay : delay + buf.samples.size][::2]
 
 
 def spectral_tracks_oracle(buf, targets):

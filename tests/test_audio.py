@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diarkit.audio import (
+    DECIMATION_TAPS,
+    RESAMPLE_CHUNK,
     AudioBuffer,
     log_mel,
     mean_normalize,
@@ -19,9 +21,11 @@ from diarkit.audio import (
 from diarkit.errors import (
     DiarkitError,
     EmptyInputError,
+    FormatError,
     ParameterError,
     UnsupportedFormatError,
 )
+from oracles import resample_to_8k_oracle
 
 
 def tone(freq, duration_s=1.0, rate=16000, amp=1.0):
@@ -76,6 +80,15 @@ class TestReadWav:
         with pytest.raises(DiarkitError):
             read_wav(path)
 
+    def test_data_ending_mid_sample(self, tmp_path):
+        # The header still counts the cut sample, so the reader gets an odd
+        # number of bytes.
+        path = tmp_path / "cut.wav"
+        write_wav(path, AudioBuffer(np.full(100, 0.25), 16000))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError, match="cut.wav"):
+            read_wav(path)
+
     def test_write_read_roundtrip_quantized(self, tmp_path):
         rng = np.random.default_rng(0)
         samples = np.round(rng.uniform(-1, 1, 8000) * 32768) / 32768
@@ -87,7 +100,37 @@ class TestReadWav:
         np.testing.assert_allclose(back.samples, samples, atol=1e-9)
 
 
+# Input lengths at the edges of the chunking: one sample, about the filter's
+# length, and about one chunk: 2C - 1 and 2C input samples give C outputs,
+# 2C - 3 and 2C - 2 give C - 1, and 2C + 1 and 2C + 2 give C + 1.
+C = RESAMPLE_CHUNK
+CHUNK_EDGES = [1, 2, DECIMATION_TAPS - 1, DECIMATION_TAPS, DECIMATION_TAPS + 1] + [
+    2 * C + d for d in range(-3, 3)
+]
+
+
 class TestResample:
+    @given(
+        n=st.one_of(
+            st.integers(1, 3 * DECIMATION_TAPS),
+            st.sampled_from(CHUNK_EDGES),
+            st.integers(2 * C - 2 * DECIMATION_TAPS, 2 * C + 2 * DECIMATION_TAPS),
+            st.integers(1, 5 * C),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chunks_match_one_convolution(self, n, seed):
+        buf = AudioBuffer(np.random.default_rng(seed).normal(scale=0.3, size=n), 16000)
+        out = resample_to_8k(buf)
+        assert out.sample_rate == 8000
+        assert out.samples.tobytes() == resample_to_8k_oracle(buf).tobytes()
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES + [0, 4 * C + 1])
+    def test_chunk_edges_match_one_convolution(self, n):
+        buf = AudioBuffer(np.random.default_rng(n).normal(scale=0.3, size=n), 16000)
+        assert resample_to_8k(buf).samples.tobytes() == resample_to_8k_oracle(buf).tobytes()
+
     def test_tone_preserved(self):
         # DFT-peak oracle: 1 kHz remains dominant and near full amplitude.
         out = resample_to_8k(tone(1000))

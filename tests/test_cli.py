@@ -70,6 +70,15 @@ class TestPartitionCommand:
             assert cls == "CTS"
             float(peak)
 
+    def test_8k_wav_is_narrowband(self, tmp_path, capsys):
+        # As in `diarize`: 8 kHz input is CTS, with no energy above 4 kHz.
+        rng = np.random.default_rng(0)
+        write_wav(tmp_path / "call8k.wav", AudioBuffer(rng.normal(scale=0.3, size=8000), 8000))
+        assert main(["partition", str(tmp_path / "call8k.wav")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "call8k\tCTS\t0.000000\n"
+        assert captured.err == ""
+
 
 class TestDiarizeCommand:
     def test_task1_stub_end_to_end(self, synth_dir, tmp_path, capsys):
@@ -87,6 +96,7 @@ class TestDiarizeCommand:
             entry = json.loads(line)
             assert entry["status"] == "ok"
             assert entry["bandwidth"] == "CTS"
+            assert set(entry["timing"]) == {"read", "partition", "vad", "resample", "diarize"}
             assert entry["n_speakers"] == 2
             assert entry["rounds"] >= 1
             hyp = turns_to_diarization(
@@ -351,6 +361,7 @@ class TestNctsPath:
         assert code == 0
         entry = json.loads((out_dir / "report.jsonl").read_text().strip())
         assert entry["bandwidth"] == "NCTS"
+        assert set(entry["timing"]) == {"read", "partition", "vad", "diarize"}
         assert entry["n_speakers"] == 3
         hyp = turns_to_diarization(
             parse_rttm((out_dir / "wideband.rttm").read_text()), "wideband"
@@ -463,6 +474,56 @@ class TestMissingInput:
         assert captured.out == ""
         assert captured.err.startswith("missing\tERROR\t")
         assert not out.exists()
+
+
+class TestWavEndingMidSample:
+    """A WAV whose data ends mid-sample gives one error line naming the
+    file, and exit 2."""
+
+    @pytest.fixture()
+    def cut_wav(self, synth_dir, tmp_path):
+        path = tmp_path / "in" / "cut.wav"
+        path.parent.mkdir()
+        path.write_bytes((synth_dir / "synth0003.wav").read_bytes()[:-1])
+        return path
+
+    @staticmethod
+    def _one_line(text: str) -> str:
+        lines = text.splitlines()
+        assert len(lines) == 1
+        assert "cut.wav" in lines[0] and "ends mid-sample" in lines[0]
+        return lines[0]
+
+    @pytest.mark.parametrize("command", ["partition", "vad"])
+    def test_per_file_commands(self, cut_wav, command, capsys):
+        stub = ["--stub-embeddings"] if command == "vad" else []
+        assert main([command, str(cut_wav), *stub]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert self._one_line(captured.err).startswith("cut")
+
+    def test_tsvad(self, cut_wav, synth_dir, tmp_path, capsys):
+        out = tmp_path / "resumed.rttm"
+        code = main(
+            [
+                "tsvad", "--audio", str(cut_wav), "--rttm", str(synth_dir / "synth0003.rttm"),
+                "--out", str(out), "--stub-embeddings",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert self._one_line(captured.err).startswith("cut\tERROR\t")
+        assert not out.exists()
+
+    def test_diarize(self, cut_wav, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["diarize", str(cut_wav), "--out-dir", str(out_dir), "--stub-embeddings"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert self._one_line(captured.out).startswith("cut\terror\t")
+        entry = json.loads((out_dir / "report.jsonl").read_text())
+        assert entry["status"] == "error" and entry["error"].startswith("FormatError: ")
 
 
 class TestSetupErrors:

@@ -1,25 +1,30 @@
-"""Spectra in bounded frame blocks, and one STFT per run of segments.
+"""Spectra in bounded frame blocks, one STFT per run of segments, and the
+narrowband path in bounded memory.
 
 `stft_magnitude`, `SpectralTsvad.bind`, `EnergyVad` and
 `classify_bandwidth` work one block of `BLOCK_FRAMES` frames at a time, and
 `SpectralEmbedder` reads each segment's frames out of one STFT per run of
 overlapping segments. All of it is exact: each is checked bytewise against
-the whole-buffer and per-segment forms kept in `tests/oracles.py`.
+the whole-buffer and per-segment forms kept in `tests/oracles.py`. Reading
+and resampling make no whole-length temporary, and `process_recording`
+holds one copy of a narrowband call.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diarkit import stubs
+from diarkit import pipeline, stubs
 from diarkit.audio import (
     BLOCK_FRAMES,
     AudioBuffer,
     frame_geometry,
     frame_signal,
+    read_wav,
     resample_to_8k,
     stft_magnitude,
     write_wav,
@@ -169,6 +174,13 @@ def ten_minute_call():
     return AudioBuffer(np.tile(buf.samples, 30), 16000)
 
 
+@pytest.fixture(scope="module")
+def ten_minute_wav(ten_minute_call, tmp_path_factory):
+    path = tmp_path_factory.mktemp("long") / "call.wav"
+    write_wav(path, ten_minute_call)
+    return path
+
+
 MB = 2**20
 
 
@@ -179,8 +191,11 @@ class TestMemoryOnTenMinutes:
     were 353 MB in `SpectralTsvad.bind` at 8 kHz (its output is 59 MB),
     184 MB in `EnergyVad`, 70 MB in `classify_bandwidth` over its 100 s
     horizon, and 418 MB in `stft_magnitude` (118 MB of output). Blocked,
-    they are 77, 6.8, 18 and 132 MB; on half the call, 49, 6.5, 18 and
-    73 MB.
+    they are 77, 6.8, 18 and 132 MB; on half the call, 47, 6.5, 18 and
+    73 MB. `read_wav` peaked at 101 MB for its 73 MB of
+    output, and `resample_to_8k` at 114 MB for 37 MB, while they made
+    whole-length float64 temporaries; now they peak at 92 and 41 MB, and
+    at 46 and 21 MB on half the call.
     """
 
     def test_bind(self, ten_minute_call):
@@ -203,6 +218,43 @@ class TestMemoryOnTenMinutes:
     def test_stft_magnitude(self, ten_minute_call):
         mags, peak = _peak(stft_magnitude, ten_minute_call)
         assert peak < mags.nbytes + 32 * MB
+
+    def test_read_wav(self, ten_minute_wav):
+        buf, peak = _peak(read_wav, ten_minute_wav)
+        assert buf.samples.size == 600 * 16000
+        assert peak < buf.samples.nbytes + 32 * MB
+
+    def test_resample_to_8k(self, ten_minute_call):
+        out, peak = _peak(resample_to_8k, ten_minute_call)
+        assert out.samples.size == 600 * 8000
+        assert peak < out.samples.nbytes + 32 * MB
+
+
+def test_16k_call_is_released_before_the_detector_binds(tmp_path, monkeypatch):
+    """A 16 kHz CTS call is downsampled right after VAD; by the detector's
+    bind, its 16 kHz buffer and samples are gone."""
+    spec = SynthSpec(n_speakers=2, duration_s=30.0, overlap_fraction=0.3, seed=21)
+    write_wav(tmp_path / "call.wav", gen_audio_conversation(spec, recording_id="call")[0])
+    refs = []
+
+    def read_and_watch(path):
+        buf = read_wav(path)
+        refs.extend([weakref.ref(buf), weakref.ref(buf.samples)])
+        return buf
+
+    bound = []
+
+    class WatchedDetector(SpectralTsvad):
+        def bind(self, buf):
+            bound.append((buf.sample_rate, [ref() is None for ref in refs]))
+            return super().bind(buf)
+
+    monkeypatch.setattr(pipeline, "read_wav", read_and_watch)
+    components = build_stub_components()
+    components.tsvad_net = WatchedDetector()
+    result = process_recording(tmp_path / "call.wav", tmp_path, TASK2, components, PipelineConfig())
+    assert (result.status, result.bandwidth) == ("ok", "CTS"), result.error
+    assert bound == [(8000, [True, True])]
 
 
 @pytest.mark.parametrize(
