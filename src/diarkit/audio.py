@@ -14,6 +14,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import os
 import wave
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -89,15 +90,24 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
-def read_wav(path) -> AudioBuffer:
-    """Read a RIFF/WAVE PCM-16 mono file at 8 or 16 kHz."""
+def read_wav(path, max_s: float | None = None) -> AudioBuffer:
+    """Read a RIFF/WAVE PCM-16 mono file at 8 or 16 kHz.
+
+    With `max_s`, only the first round(max_s * rate) samples are read; the
+    file is checked as a whole read checks it, so a data chunk that ends
+    mid-sample past them still raises FormatError.
+    """
     try:
-        with wave.open(str(path), "rb") as wf:
+        with open(path, "rb") as f, wave.open(f, "rb") as wf:
             channels = wf.getnchannels()
             sampwidth = wf.getsampwidth()
             rate = wf.getframerate()
             comptype = wf.getcomptype()
             n = wf.getnframes()
+            # wave.open leaves the file at the first byte of the samples.
+            stored = min(n * sampwidth * channels, os.fstat(f.fileno()).st_size - f.tell())
+            if max_s is not None:
+                n = min(n, max(0, int(round(max_s * rate))))
             raw = wf.readframes(n)
     except wave.Error as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -113,7 +123,7 @@ def read_wav(path) -> AudioBuffer:
         raise UnsupportedFormatError(f"{path}: {8 * sampwidth}-bit PCM, expected 16-bit")
     if rate not in SUPPORTED_RATES:
         raise UnsupportedFormatError(f"{path}: sample rate {rate}, expected 8000 or 16000")
-    if len(raw) % 2:
+    if stored % 2:
         raise FormatError(f"{path}: truncated file: data ends mid-sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     del raw

@@ -77,7 +77,8 @@ def cmd_partition(args) -> int:
     failed = False
     for path in _wav_inputs(args.inputs):
         try:
-            buf = read_wav(path)
+            # The class is decided from the first horizon seconds alone.
+            buf = read_wav(path, cfg.bandwidth_horizon_s)
             cls = bandwidth_class(buf, cfg)
             print(f"{path.stem}\t{cls.value}\t{cls.peak_above_4k:.6f}")
         except DiarkitError as exc:

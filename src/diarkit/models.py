@@ -13,7 +13,10 @@ here so weight files are reproducible):
 
 Numerics: each ResNet trunk runs in float32, with every batch norm folded
 into its conv's kernel and bias once, when the model is built; the trunk's
-output returns to float64 for pooling, the LSTMs and the affine heads. Against
+output returns to float64 for pooling, the LSTMs and the affine heads. Each
+conv sums one GEMM per kernel row over channels-last patches (`nn.conv2d`);
+its [C, T, F] output is a view of [T, F, C] memory, which the bias add, ReLU
+and residual add keep, so no layer transposes. Against
 a float64 conv-then-batch-norm trunk, tests bound the drift to 1e-5 of the
 largest magnitude for trunk maps, identity frames and embeddings, 1e-4 for
 detection probabilities and 1e-5 for VAD probabilities.

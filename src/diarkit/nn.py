@@ -7,6 +7,9 @@ Conventions:
   - LSTM gate order in packed weights is (input, forget, candidate, output)
   - convolution is cross-correlation; "same" padding follows the
     ceil(in/stride) output-size rule with the extra pad sample at the end
+  - conv2d takes and returns [C, H, W] arrays, but computes on [H, W, C]
+    memory and returns a view of it; elementwise numpy ops keep that layout,
+    so a stack of convs never transposes between layers
 """
 
 from __future__ import annotations
@@ -57,31 +60,56 @@ def conv2d(
     stride: tuple[int, int] = (1, 1),
     pad: str = "same",
 ) -> np.ndarray:
-    """Cross-correlate x[C_in,H,W] with kernel[C_out,C_in,kh,kw].
+    """Cross-correlate x[C_in,H,W] with kernel[C_out,C_in,kh,kw]; returns
+    [C_out,H',W'] as a view of channels-last memory, so `out.transpose(1, 2, 0)`
+    is C-contiguous.
 
     Computes in float32 when both x and kernel are float32, in float64
-    otherwise.
+    otherwise. The padded input is laid out [H,W,C_in], and one patch row of
+    kw*C_in values is copied for each (padded row, output column); kernel row
+    i reads the patch rows i, i+sh, ..., so the conv is kh GEMMs summed into
+    one output (Anderson et al. 2017). The patch copy is kw times the padded
+    input, not kh*kw times, and an output laid out channels-last, or ufuncs
+    applied to it, feed the next conv without a transpose.
     """
     x, kernel = np.asarray(x), np.asarray(kernel)
     dtype = np.float32 if x.dtype == kernel.dtype == np.float32 else np.float64
-    x, kernel = x.astype(dtype, copy=False), kernel.astype(dtype, copy=False)
     if x.ndim != 3 or kernel.ndim != 4:
         raise ShapeError("conv2d expects x[C,H,W] and kernel[Cout,Cin,kh,kw]")
     c_out, c_in, kh, kw = kernel.shape
-    if x.shape[0] != c_in:
-        raise ShapeError(f"conv2d: {x.shape[0]} input channels vs kernel {c_in}")
+    c, h, w = x.shape
+    if c != c_in:
+        raise ShapeError(f"conv2d: {c} input channels vs kernel {c_in}")
     sh, sw = stride
     if pad == "same":
-        ph = _same_pad(x.shape[1], kh, sh)
-        pw = _same_pad(x.shape[2], kw, sw)
-        x = np.pad(x, ((0, 0), ph, pw))
-    elif pad != "valid":
+        (top, bottom), (left, right) = _same_pad(h, kh, sh), _same_pad(w, kw, sw)
+    elif pad == "valid":
+        top = bottom = left = right = 0
+    else:
         raise ShapeError(f"unknown padding {pad!r}")
-    if x.shape[1] < kh or x.shape[2] < kw:
+    hp, wp = h + top + bottom, w + left + right
+    if hp < kh or wp < kw:
         raise ShapeError("conv2d: input smaller than kernel with valid padding")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::sh, ::sw]  # [Cin, H', W', kh, kw]
-    return np.tensordot(kernel, windows, axes=([1, 2, 3], [0, 3, 4]))
+    out_h, out_w = (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    padded = np.zeros((hp, wp, c_in), dtype)
+    padded[top : top + h, left : left + w] = x.transpose(1, 2, 0)
+    # The kw*C_in values of one patch row are contiguous in `padded`.
+    windows = np.lib.stride_tricks.sliding_window_view(padded.reshape(hp, wp * c_in), kw * c_in, axis=1)
+    patches = np.ascontiguousarray(windows[:, :: sw * c_in])  # [hp, W', kw*C_in]
+    del padded, windows
+    # Each kernel row as [C_out, kw*C_in], which the GEMM reads transposed:
+    # packing it reads each output channel's weights as one block of `kernel`,
+    # where packing [kw*C_in, C_out] strides across all of them (4x slower at
+    # 256 channels).
+    taps = kernel.astype(dtype, copy=False).transpose(2, 0, 3, 1).reshape(kh, c_out, kw * c_in)
+
+    def rows(i):
+        return patches[i : i + (out_h - 1) * sh + 1 : sh].reshape(out_h * out_w, kw * c_in)
+
+    out = rows(0) @ taps[0].T
+    for i in range(1, kh):
+        out += rows(i) @ taps[i].T
+    return out.reshape(out_h, out_w, c_out).transpose(2, 0, 1)
 
 
 def batch_norm_infer(

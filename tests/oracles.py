@@ -15,7 +15,8 @@ redid the per-recording work on every call, as `bind(buf)` replaced them.
 The float64 neural path that the float32 trunk replaced is kept verbatim as
 exact references: `sigmoid_masked_oracle` and `bilstm_masked_oracle` (the
 logistic with its two masked branches, and the LSTM that called it once per
-gate), `conv2d_tensordot_oracle` (the float64 `conv2d`), and
+gate), `conv2d_tensordot_oracle` (the float64 `conv2d` before it summed
+one GEMM per kernel row over channels-last patches), and
 `resnet_forward_oracle` (the trunk that ran each conv, then its batch norm,
 in float64 from the weight store).
 

@@ -89,6 +89,23 @@ class TestReadWav:
         with pytest.raises(FormatError, match="cut.wav"):
             read_wav(path)
 
+    def test_prefix_is_the_whole_read_cut_short(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "long.wav"
+        write_wav(path, AudioBuffer(rng.uniform(-1, 1, 3000), 8000))
+        whole = read_wav(path).samples
+        for max_s, n in ((0.1, 800), (0.0, 0), (-1.0, 0), (0.375, 3000), (10.0, 3000)):
+            prefix = read_wav(path, max_s)
+            assert prefix.sample_rate == 8000
+            assert prefix.samples.tobytes() == whole[:n].tobytes()
+
+    def test_prefix_read_still_sees_data_ending_mid_sample(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, AudioBuffer(np.full(16000, 0.25), 16000))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(FormatError, match="ends mid-sample"):
+            read_wav(path, 0.5)
+
     def test_write_read_roundtrip_quantized(self, tmp_path):
         rng = np.random.default_rng(0)
         samples = np.round(rng.uniform(-1, 1, 8000) * 32768) / 32768

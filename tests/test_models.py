@@ -293,9 +293,10 @@ class TestFloat32Drift:
     Bounds, set from float32's unit roundoff (6e-8) over a trunk of 20-36
     convs: trunk maps, identity frames and embeddings within 1e-5 of their
     largest reference magnitude; detection probabilities within 1e-4 and
-    VAD probabilities within 1e-5, absolute. These cases measure at most
-    9.6e-7 (VAD trunk), 9.9e-7 (identity), 2.5e-7 (embedding), 8.8e-6
-    (detection) and 4.9e-7 (VAD).
+    VAD probabilities within 1e-5, absolute. With the channels-last conv
+    (kh GEMMs summed per output), these cases measure at most 6.8e-7 (VAD
+    trunk), 9.0e-7 (identity), 2.3e-7 (embedding), 8.2e-6 (detection) and
+    4.6e-7 (VAD).
     """
 
     REL = 1e-5

@@ -6,8 +6,9 @@ narrowband path in bounded memory.
 `SpectralEmbedder` reads each segment's frames out of one STFT per run of
 overlapping segments. All of it is exact: each is checked bytewise against
 the whole-buffer and per-segment forms kept in `tests/oracles.py`. Reading
-and resampling make no whole-length temporary, and `process_recording`
-holds one copy of a narrowband call.
+and resampling make no whole-length temporary, `process_recording`
+holds one copy of a narrowband call, and `diarkit partition` reads only the
+horizon it classifies.
 """
 
 import tracemalloc
@@ -29,6 +30,7 @@ from diarkit.audio import (
     stft_magnitude,
     write_wav,
 )
+from diarkit.cli import main
 from diarkit.config import PipelineConfig
 from diarkit.models import EMBED_DIM
 from diarkit.partition import SPLIT_HZ, classify_bandwidth
@@ -195,7 +197,9 @@ class TestMemoryOnTenMinutes:
     73 MB. `read_wav` peaked at 101 MB for its 73 MB of
     output, and `resample_to_8k` at 114 MB for 37 MB, while they made
     whole-length float64 temporaries; now they peak at 92 and 41 MB, and
-    at 46 and 21 MB on half the call.
+    at 46 and 21 MB on half the call. `diarkit partition` peaked at 92 MB
+    while it read the whole call; reading its 100 s horizon, it peaks at
+    31 MB.
     """
 
     def test_bind(self, ten_minute_call):
@@ -228,6 +232,16 @@ class TestMemoryOnTenMinutes:
         out, peak = _peak(resample_to_8k, ten_minute_call)
         assert out.samples.size == 600 * 8000
         assert peak < out.samples.nbytes + 32 * MB
+
+    def test_partition_reads_only_its_horizon(self, ten_minute_wav, capsys):
+        """`diarkit partition` reads the 100 s it classifies, and prints the
+        line that classifying a whole read gives."""
+        code, peak = _peak(main, ["partition", str(ten_minute_wav)])
+        assert code == 0
+        cls = pipeline.bandwidth_class(read_wav(ten_minute_wav), PipelineConfig())
+        assert capsys.readouterr().out == f"call\t{cls.value}\t{cls.peak_above_4k:.6f}\n"
+        horizon = int(PipelineConfig.bandwidth_horizon_s * 16000) * 8
+        assert peak < horizon + 32 * MB
 
 
 def test_16k_call_is_released_before_the_detector_binds(tmp_path, monkeypatch):
