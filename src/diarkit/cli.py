@@ -22,19 +22,12 @@ from pathlib import Path
 from .audio import read_wav, write_wav
 from .config import PipelineConfig, load_config, parse_file, save_config
 from .errors import ConfigError, DiarkitError
-from .metrics import (
-    compute_der,
-    emit_rttm,
-    diarization_to_turns,
-    parse_rttm,
-    parse_uem,
-    rttm_file_ids,
-    turns_to_diarization,
-)
+from .metrics import compute_der, emit_rttm, parse_rttm, parse_uem, turns_to_diarization
 from .pipeline import (
     TASK1,
     TASK2,
     Components,
+    atomic_write,
     bandwidth_class,
     build_net_components,
     build_net_vad,
@@ -144,7 +137,7 @@ def cmd_tsvad(args) -> int:
         speech = read_vad_file(args.vad) if args.vad else [seg for seg, _ in diar.turns]
         result = detection_rounds(buf, diar.per_speaker(), speech, components, cfg, file_id)
         out_path = Path(args.out) if args.out else Path(f"{file_id}.tsvad.rttm")
-        out_path.write_text(emit_rttm(diarization_to_turns(result.diarization)), encoding="utf-8")
+        atomic_write(out_path, emit_rttm(result.diarization))
     except (DiarkitError, OSError) as exc:
         print(f"{file_id}\tERROR\t{exc}", file=sys.stderr)
         return 2
@@ -161,7 +154,7 @@ def cmd_score(args) -> int:
     uem = parse_file(args.uem, parse_uem) if args.uem else {}
     totals = {"err": 0.0, "ref": 0.0}
     failed = False
-    for file_id in rttm_file_ids(ref_turns):
+    for file_id in dict.fromkeys(t.file_id for t in ref_turns):
         ref = turns_to_diarization(ref_turns, file_id)
         hyp = turns_to_diarization(hyp_turns, file_id)
         try:
@@ -198,9 +191,7 @@ def cmd_synth(args) -> int:
         file_id = f"synth{args.seed + i:04d}"
         buf, ref = gen_audio_conversation(spec, recording_id=file_id)
         write_wav(out / f"{file_id}.wav", buf)
-        (out / f"{file_id}.rttm").write_text(
-            emit_rttm(diarization_to_turns(ref)), encoding="utf-8"
-        )
+        (out / f"{file_id}.rttm").write_text(emit_rttm(ref), encoding="utf-8")
         write_vad_file(out / f"{file_id}.vad", reference_speech(ref.turns))
         print(f"{file_id}: {len(ref.turns)} turns, {args.speakers} speakers")
     return 0

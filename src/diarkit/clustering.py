@@ -15,7 +15,6 @@ from .config import PipelineConfig
 from .errors import (
     DegenerateGraphError,
     DivergenceError,
-    InsufficientSpeakersError,
     NumericError,
     ParameterError,
     ShapeError,
@@ -118,13 +117,8 @@ def kmeans(x: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
 
 def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel clusters by order of first appearance."""
-    remap: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for i, lab in enumerate(labels):
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out[i] = remap[lab]
-    return out
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def spectral_cluster(
@@ -203,24 +197,19 @@ def ahc(
     return Clustering(labels, centers)
 
 
-def select_two_speakers(clustering: Clustering, segs: list[EmbeddedSegment]):
-    """Pick the two clusters with the largest total member duration.
+def select_two_speakers(labels: np.ndarray, durations: np.ndarray) -> tuple[int, int] | None:
+    """The labels (a, b) of the two clusters with the largest total member
+    duration, the larger first and ties to the lower label; None when there
+    are fewer than two clusters.
 
-    Returns (center_a, center_b, member index lists for a and b, leftover
-    segment indices to be handed to assign_with_overlap).
+    `labels[i]` is item i's cluster, 0..k-1, and `durations[i]` its seconds.
+    Each total adds its members in item order.
     """
-    k = clustering.n_clusters
-    if k < 2:
-        raise InsufficientSpeakersError(f"need >= 2 clusters, got {k}")
-    durations = np.zeros(k)
-    for idx, seg in enumerate(segs):
-        durations[clustering.labels[idx]] += seg.segment.duration
-    ranked = sorted(range(k), key=lambda c: (-durations[c], c))
-    a, b = ranked[0], ranked[1]
-    idx_a = [i for i in range(len(segs)) if clustering.labels[i] == a]
-    idx_b = [i for i in range(len(segs)) if clustering.labels[i] == b]
-    rest = [i for i in range(len(segs)) if clustering.labels[i] not in (a, b)]
-    return clustering.centers[a], clustering.centers[b], (idx_a, idx_b), rest
+    total = np.bincount(labels, weights=durations)
+    if total.size < 2:
+        return None
+    a, b = np.argsort(-total, kind="stable")[:2]
+    return int(a), int(b)
 
 
 def assign_with_overlap(

@@ -4,10 +4,10 @@ published operating points of every stage."""
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .audio import FRAME_SHIFT_S
+from .audio import FRAME_LEN_S, FRAME_SHIFT_S
 from .errors import ConfigError, FormatError, LineError
 
 
@@ -60,6 +60,13 @@ class PipelineConfig:
             value = getattr(self, name)
             if not value >= FRAME_SHIFT_S:
                 raise ConfigError(f"{name} must be >= {FRAME_SHIFT_S} (one frame), got {value}")
+        if not self.bandwidth_horizon_s >= FRAME_LEN_S:  # partition reads whole 25 ms frames
+            raise ConfigError(
+                f"bandwidth_horizon_s must be >= {FRAME_LEN_S} (one frame), "
+                f"got {self.bandwidth_horizon_s}"
+            )
+        if not self.target_max_s > 0:
+            raise ConfigError(f"target_max_s must be > 0, got {self.target_max_s}")
         if self.median_taps % 2 == 0 or self.median_taps < 1:
             raise ConfigError(f"median_taps must be odd, got {self.median_taps}")
         if self.similarity not in ("cosine", "v2s"):
@@ -68,14 +75,13 @@ class PipelineConfig:
             raise ConfigError("max_rounds, max_speakers, and workers must be >= 1")
 
     def override(self, **kwargs) -> "PipelineConfig":
-        known = {f.name for f in fields(self)}
+        """A validated copy with each key that is not None set; an unknown
+        key is a `ConfigError`."""
         updates = {k: v for k, v in kwargs.items() if v is not None}
-        unknown = set(updates) - known
+        unknown = set(updates) - {f.name for f in fields(self)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = {f.name: getattr(self, f.name) for f in fields(self)}
-        merged.update(updates)
-        cfg = PipelineConfig(**merged)
+        cfg = replace(self, **updates)
         cfg.validate()
         return cfg
 

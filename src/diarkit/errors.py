@@ -46,10 +46,6 @@ class InsufficientSpeechError(DiarkitError):
     """A speaker has too little speech to build a target embedding."""
 
 
-class InsufficientSpeakersError(DiarkitError):
-    """Fewer clusters than required speaker anchors."""
-
-
 class DegenerateGraphError(DiarkitError):
     """Similarity graph has an isolated node; Laplacian undefined."""
 

@@ -72,20 +72,14 @@ def parse_rttm(text: str) -> list[RttmTurn]:
     return turns
 
 
-def emit_rttm(turns: list[RttmTurn]) -> str:
-    lines = [
-        f"SPEAKER {t.file_id} 1 {t.onset_s:.3f} {t.duration_s:.3f} "
-        f"<NA> <NA> {t.speaker} <NA> <NA>"
-        for t in turns
-    ]
-    return "".join(line + "\n" for line in lines)
-
-
-def diarization_to_turns(diar: Diarization) -> list[RttmTurn]:
-    return [
-        RttmTurn(diar.recording_id, seg.start_s, seg.duration, spk)
+def emit_rttm(diar: Diarization) -> str:
+    """RTTM text of `diar`: one SPEAKER line per turn, in turn order, with
+    onset and duration in seconds to 1 ms."""
+    return "".join(
+        f"SPEAKER {diar.recording_id} 1 {seg.start_s:.3f} {seg.duration:.3f} "
+        f"<NA> <NA> {spk} <NA> <NA>\n"
         for seg, spk in diar.turns
-    ]
+    )
 
 
 def turns_to_diarization(turns: list[RttmTurn], file_id: str) -> Diarization:
@@ -94,13 +88,6 @@ def turns_to_diarization(turns: list[RttmTurn], file_id: str) -> Diarization:
         file_id,
         [(Segment(t.onset_s, t.onset_s + t.duration_s), t.speaker) for t in selected],
     )
-
-
-def rttm_file_ids(turns: list[RttmTurn]) -> list[str]:
-    seen: dict[str, None] = {}
-    for t in turns:
-        seen.setdefault(t.file_id, None)
-    return list(seen)
 
 
 def parse_uem(text: str) -> dict[str, list[Segment]]:

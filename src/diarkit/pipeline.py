@@ -28,8 +28,8 @@ from .clustering import (
     v2s_similarity_matrix,
 )
 from .config import PipelineConfig
-from .errors import ConfigError, DiarkitError, InsufficientSpeakersError
-from .metrics import diarization_to_turns, emit_rttm
+from .errors import ConfigError, DiarkitError
+from .metrics import emit_rttm
 from .models import EmbedNet, TsvadNet, V2sScorer, VadNet
 from .partition import CTS, BandwidthClass, classify_bandwidth
 from .segmenter import EmbeddedSegment, recursive_merge, uniform_segments
@@ -147,24 +147,30 @@ def cluster_two_speakers(
     """Merge-driven segmentation plus two-anchor clustering with overlap
     assignment; returns per-speaker regions, possibly overlapping (target
     extraction unions them), or None when the audio does not split into two
-    clusters."""
+    clusters.
+
+    The two clusters with the most speech are `spk0` and `spk1`, each with
+    its merged segments in time order. Each segment of another cluster then
+    goes to one or both of them by `assign_with_overlap` against the two
+    cluster centres."""
     segs = uniform_segments(speech, cfg.cts_win_s, cfg.cts_shift_s)
     embedded = _embed_segments(buf, segs, components.embedder, cfg.min_segment_s)
     if not embedded:
         return None
     merged = recursive_merge(embedded, cfg.merge_threshold)
     clustering = ahc(merged, cfg.ahc_stop_threshold)
-    try:
-        center_a, center_b, (idx_a, idx_b), rest = select_two_speakers(clustering, merged)
-    except InsufficientSpeakersError:
+    labels = clustering.labels
+    pick = select_two_speakers(labels, np.array([e.segment.duration for e in merged]))
+    if pick is None:
         return None
+    a, b = pick
     regions = {
-        "spk0": [merged[i].segment for i in idx_a],
-        "spk1": [merged[i].segment for i in idx_b],
+        "spk0": [e.segment for e, label in zip(merged, labels) if label == a],
+        "spk1": [e.segment for e, label in zip(merged, labels) if label == b],
     }
-    extra_a, extra_b = assign_with_overlap(
-        [merged[i] for i in rest], center_a, center_b, cfg.overlap_threshold
-    )
+    rest = [e for e, label in zip(merged, labels) if label not in pick]
+    center_a, center_b = clustering.centers[[a, b]]
+    extra_a, extra_b = assign_with_overlap(rest, center_a, center_b, cfg.overlap_threshold)
     regions["spk0"] += [e.segment for e in extra_a]
     regions["spk1"] += [e.segment for e in extra_b]
     return regions
@@ -287,7 +293,7 @@ def process_recording(
         result.n_segments = len(diar.turns)
         result.n_speakers = len(diar.speakers())
         out_path = Path(out_dir) / f"{file_id}.rttm"
-        _atomic_write(out_path, emit_rttm(diarization_to_turns(diar)))
+        atomic_write(out_path, emit_rttm(diar))
         result.rttm_path = str(out_path)
     except Exception as exc:  # per-recording isolation: record, keep going
         result.status = "error"
@@ -295,7 +301,9 @@ def process_recording(
     return result
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then move it into
+    place, so a run that stops mid-write leaves no partial `path`."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -313,23 +321,31 @@ def run_pipeline(
     """Process a batch of recordings; failures are recorded, not fatal.
 
     `vad_paths` maps file ids to external speech-region files (task-1 mode).
+    The file id is the input's stem, and it names the output RTTM, so only
+    the first input of each file id is processed: a later one gets an error
+    entry and writes nothing.
     Returns per-file results in input order; the JSON-lines report mirrors it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vad_paths = vad_paths or {}
+    first: dict[str, int] = {}
+    for i, wav_path in enumerate(inputs):
+        first.setdefault(Path(wav_path).stem, i)
 
-    def work(wav_path):
-        return process_recording(
-            wav_path, out, mode, components, cfg, vad_paths.get(Path(wav_path).stem)
-        )
+    def work(i):
+        wav_path, file_id = inputs[i], Path(inputs[i]).stem
+        if first[file_id] != i:
+            error = f"InputError: {wav_path} has the file id of {inputs[first[file_id]]}"
+            return FileResult(file_id, "error", error=error)
+        return process_recording(wav_path, out, mode, components, cfg, vad_paths.get(file_id))
 
     if cfg.workers > 1 and len(inputs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(work, inputs))
+            results = list(pool.map(work, range(len(inputs))))
     else:
-        results = [work(p) for p in inputs]
+        results = [work(i) for i in range(len(inputs))]
 
     if report_path is not None:
-        _atomic_write(Path(report_path), "".join(r.to_json() + "\n" for r in results))
+        atomic_write(Path(report_path), "".join(r.to_json() + "\n" for r in results))
     return results

@@ -4,7 +4,9 @@ and the clustering kernels.
 These deliberately avoid the vectorized code paths in diarkit.nn and
 diarkit.clustering: explicit Python loops, per-element arithmetic, and their
 own padding bookkeeping. The clustering oracles are the pairwise loops that
-`ahc` and `assign_with_overlap` replaced. `assignment_matrix_oracle` is the
+`ahc` and `assign_with_overlap` replaced, and the loops that
+`select_two_speakers` (`np.bincount` and a stable `np.argsort`) and
+`_canonical_labels` (`np.unique`) replaced. `assignment_matrix_oracle` is the
 frame matrix that `run_rounds` once rebuilt to test convergence, where it
 now compares turns. `compute_der_grid_oracle` is the
 1 ms boolean-grid DER scorer with an exhaustive permutation mapping that the
@@ -312,6 +314,31 @@ def ahc_oracle(segs, stop_threshold):
         for item in members[c]:
             labels[item] = new_idx
     return Clustering(labels, np.stack([centers[c] for c in order]))
+
+
+def select_two_speakers_oracle(labels, durations):
+    """The two cluster labels with the most total duration, by a running
+    sum per cluster and a sort on (-duration, label); None under two
+    clusters."""
+    k = int(max(labels)) + 1 if len(labels) else 0
+    if k < 2:
+        return None
+    totals = np.zeros(k)
+    for label, duration in zip(labels, durations):
+        totals[label] += duration
+    ranked = sorted(range(k), key=lambda c: (-totals[c], c))
+    return ranked[0], ranked[1]
+
+
+def canonical_labels_oracle(labels):
+    """Labels renumbered 0, 1, ... in order of first appearance."""
+    remap = {}
+    out = np.empty_like(labels)
+    for i, lab in enumerate(labels):
+        if lab not in remap:
+            remap[lab] = len(remap)
+        out[i] = remap[lab]
+    return out
 
 
 def assignment_matrix_oracle(diar, speakers, n_frames):

@@ -7,7 +7,7 @@ import pytest
 
 from diarkit.cli import build_parser, main
 from diarkit.config import PipelineConfig
-from diarkit.metrics import RttmTurn, compute_der, emit_rttm, parse_rttm, turns_to_diarization
+from diarkit.metrics import compute_der, emit_rttm, parse_rttm, turns_to_diarization
 from diarkit.models import (
     EmbedNet,
     V2sScorer,
@@ -17,7 +17,7 @@ from diarkit.models import (
 )
 from diarkit.pipeline import TASK1, Components, build_stub_components, run_pipeline
 from diarkit.audio import AudioBuffer, write_wav
-from diarkit.segments import Segment
+from diarkit.segments import Diarization, Segment
 from diarkit.stubs import SpectralTsvad, reference_speech
 from diarkit.synth import SynthSpec, gen_audio_conversation
 from diarkit.vad import write_vad_file
@@ -177,6 +177,31 @@ class TestDiarizeCommand:
         assert (out_dir / "synth0003.rttm").exists()
         assert not (out_dir / "broken.rttm").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_duplicate_file_id_keeps_the_first(self, synth_dir, tmp_path, capsys, workers):
+        # Two different calls, both named a.wav, would write one a.rttm.
+        first, second = tmp_path / "d1" / "a.wav", tmp_path / "d2" / "a.wav"
+        for wav, seed in ((first, 3), (second, 4)):
+            wav.parent.mkdir()
+            wav.write_bytes((synth_dir / f"synth{seed:04d}.wav").read_bytes())
+        alone, dup = tmp_path / "alone", tmp_path / "dup"
+        assert main(["diarize", str(first), "--out-dir", str(alone), "--stub-embeddings"]) == 0
+        code = main(
+            [
+                "diarize", str(first), str(second), "--out-dir", str(dup),
+                "--stub-embeddings", "--workers", workers,
+            ]
+        )
+        assert code == 2
+        entries = [json.loads(line) for line in (dup / "report.jsonl").read_text().splitlines()]
+        assert [(e["file_id"], e["status"]) for e in entries] == [("a", "ok"), ("a", "error")]
+        assert str(first) in entries[1]["error"] and str(second) in entries[1]["error"]
+        assert entries[1]["rttm_path"] == ""
+        assert sorted(p.name for p in dup.iterdir()) == ["a.rttm", "report.jsonl"]
+        assert (dup / "a.rttm").read_bytes() == (alone / "a.rttm").read_bytes()
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[1] for line in lines[-2:]] == ["ok", "error"]
+
     def test_missing_weights_without_stub_is_config_error(self, synth_dir, tmp_path, capsys):
         assert main(["diarize", str(synth_dir), "--out-dir", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
@@ -234,8 +259,8 @@ class TestScoreCommand:
         under other labels as the hypothesis."""
         ref, hyp = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
         for path, label in ((ref, lambda k: f"s{k}"), (hyp, lambda k: f"h{n_speakers - k}")):
-            turns = [RttmTurn("rec", k, 1.0, label(k)) for k in range(n_speakers)]
-            path.write_text(emit_rttm(turns))
+            turns = [(Segment(k, k + 1.0), label(k)) for k in range(n_speakers)]
+            path.write_text(emit_rttm(Diarization("rec", turns)))
         return str(ref), str(hyp)
 
     def test_twelve_speakers(self, tmp_path, capsys):
@@ -297,7 +322,6 @@ class TestTsvadCommand:
     def test_runs_at_8k_like_diarize(self, tmp_path):
         # On this noisy call, detection at 16 kHz gives another RTTM.
         from diarkit.audio import read_wav, resample_to_8k
-        from diarkit.metrics import diarization_to_turns
         from diarkit.segments import merge_segments
         from diarkit.stubs import SpectralEmbedder
         from diarkit.tsvad import run_rounds
@@ -323,7 +347,8 @@ class TestTsvadCommand:
             resample_to_8k(read_wav(wav)), regions, SpectralTsvad(), SpectralEmbedder(),
             read_vad_file(vad), recording_id="synth0005",
         )
-        assert out.read_text() == emit_rttm(diarization_to_turns(result.diarization))
+        assert out.read_text() == emit_rttm(result.diarization)
+        assert list(tmp_path.glob("*.tmp")) == []  # written through a temporary file
 
 
 class TestVadCommand:
@@ -340,7 +365,6 @@ class TestNctsPath:
     def test_noisy_wideband_spectral_clustering(self, tmp_path):
         # Broadband noise flips classification to NCTS; the spectral path
         # must still recover the speaker count from the tone structure.
-        from diarkit.metrics import diarization_to_turns, emit_rttm
         from diarkit.stubs import reference_speech
         from diarkit.vad import write_vad_file
 
@@ -350,7 +374,7 @@ class TestNctsPath:
         buf, ref = gen_audio_conversation(spec, recording_id="wideband")
         write_wav(wav_dir / "wideband.wav", buf)
         write_vad_file(wav_dir / "wideband.vad", reference_speech(ref.turns))
-        (wav_dir / "wideband.rttm").write_text(emit_rttm(diarization_to_turns(ref)))
+        (wav_dir / "wideband.rttm").write_text(emit_rttm(ref))
         out_dir = tmp_path / "out"
         code = main(
             [
@@ -415,7 +439,6 @@ class TestEightKInput:
         spec = SynthSpec(n_speakers=2, duration_s=20, overlap_fraction=0.2, seed=11)
         buf16, ref = gen_audio_conversation(spec, recording_id="down8k")
         from diarkit.audio import resample_to_8k
-        from diarkit.metrics import diarization_to_turns, emit_rttm
         from diarkit.stubs import reference_speech
         from diarkit.vad import write_vad_file
 
@@ -423,7 +446,7 @@ class TestEightKInput:
         wav_dir.mkdir()
         write_wav(wav_dir / "down8k.wav", resample_to_8k(buf16))
         write_vad_file(wav_dir / "down8k.vad", reference_speech(ref.turns))
-        (wav_dir / "down8k.rttm").write_text(emit_rttm(diarization_to_turns(ref)))
+        (wav_dir / "down8k.rttm").write_text(emit_rttm(ref))
         out_dir = tmp_path / "out"
         code = main(
             [
@@ -587,6 +610,21 @@ class TestSetupErrors:
         config = f"vad_weights={tmp_path / 'vad.bin'}\nvad_shift_s=0\n"
         assert self._vad_run(tmp_path, config) == 2
         assert "vad_shift_s" in self._single_error_line(capsys, "vad")
+
+    @pytest.mark.parametrize("key", ["target_max_s", "bandwidth_horizon_s"])
+    def test_zero_target_or_horizon(self, synth_dir, tmp_path, capsys, key):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(f"{key}=0\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "diarize", str(synth_dir), "--out-dir", str(out_dir), "--config", str(cfg),
+                "--stub-embeddings",
+            ]
+        )
+        assert code == 2
+        assert key in self._single_error_line(capsys, "diarize")
+        assert not out_dir.exists()
 
     def test_weight_name_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "vad.bin"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diarkit.clustering import (
-    Clustering,
+    _canonical_labels,
     ahc,
     assign_with_overlap,
     build_v2s_input,
@@ -22,17 +22,20 @@ from diarkit.clustering import (
     v2s_pair_accuracy,
     v2s_similarity_matrix,
 )
-from diarkit.errors import (
-    DegenerateGraphError,
-    InsufficientSpeakersError,
-    NumericError,
-    ParameterError,
-)
+from diarkit.audio import AudioBuffer
+from diarkit.config import PipelineConfig
+from diarkit.errors import DegenerateGraphError, NumericError, ParameterError
 from diarkit.models import V2sScorer
+from diarkit.pipeline import Components, cluster_two_speakers
 from diarkit.segmenter import EmbeddedSegment
 from diarkit.segments import Segment
 from diarkit.synth import orthonormal_prototypes
-from oracles import ahc_oracle, assign_with_overlap_oracle
+from oracles import (
+    ahc_oracle,
+    assign_with_overlap_oracle,
+    canonical_labels_oracle,
+    select_two_speakers_oracle,
+)
 
 
 def emb_seg(start, end, vec):
@@ -62,6 +65,19 @@ def embedding_streams(draw, max_len=60):
     picks = np.concatenate([np.arange(n_distinct), rng.integers(n_distinct, size=n - n_distinct)])
     rng.shuffle(picks)
     return [emb_seg(i, i + 1, distinct[k]) for i, k in enumerate(picks)]
+
+
+@st.composite
+def cluster_labels(draw, max_clusters=8):
+    """Labels of 1..max_clusters clusters, each with at least one member,
+    and a duration per item; durations of a few exact binary values make
+    tied cluster totals common."""
+    k = draw(st.integers(1, max_clusters))
+    extra = draw(st.lists(st.integers(0, k - 1), max_size=24))
+    labels = draw(st.permutations(list(range(k)) + extra))
+    duration = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]), st.floats(0.01, 30.0))
+    durations = draw(st.lists(duration, min_size=len(labels), max_size=len(labels)))
+    return np.array(labels), np.array(durations)
 
 
 def label_accuracy(pred, truth):
@@ -211,6 +227,14 @@ class TestSpectralCluster:
         with pytest.raises(DegenerateGraphError):
             spectral_cluster(s)
 
+    @given(labels=st.lists(st.integers(-3, 7), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_labels_match_loop_oracle(self, labels):
+        labels = np.array(labels)
+        got, want = _canonical_labels(labels), canonical_labels_oracle(labels)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+
     def test_kmeans_deterministic(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(30, 3))
@@ -275,27 +299,54 @@ class TestAhc:
 
 class TestSelectTwoSpeakers:
     def test_duration_ordering(self):
-        clustering = Clustering(
-            labels=np.array([0, 1, 2]),
-            centers=np.stack([basis(0), basis(1), basis(2)]),
-        )
-        segs = [emb_seg(0, 10, basis(0)), emb_seg(10, 18, basis(1)), emb_seg(18, 18.5, basis(2))]
-        a, b, (idx_a, idx_b), rest = select_two_speakers(clustering, segs)
-        np.testing.assert_array_equal(a, basis(0))
-        np.testing.assert_array_equal(b, basis(1))
-        assert idx_a == [0] and idx_b == [1] and rest == [2]
+        assert select_two_speakers(np.array([0, 1, 2]), np.array([10.0, 8.0, 0.5])) == (0, 1)
+        assert select_two_speakers(np.array([0, 1, 2]), np.array([0.5, 8.0, 10.0])) == (2, 1)
 
     def test_exactly_two_identity(self):
-        clustering = Clustering(np.array([0, 1]), np.stack([basis(0), basis(1)]))
-        segs = [emb_seg(0, 5, basis(0)), emb_seg(5, 9, basis(1))]
-        a, b, (idx_a, idx_b), rest = select_two_speakers(clustering, segs)
-        assert idx_a == [0] and idx_b == [1] and rest == []
+        assert select_two_speakers(np.array([0, 1]), np.array([5.0, 4.0])) == (0, 1)
 
-    def test_single_cluster_error(self):
-        clustering = Clustering(np.array([0, 0]), basis(0)[None, :])
-        segs = [emb_seg(0, 5, basis(0)), emb_seg(5, 9, basis(0))]
-        with pytest.raises(InsufficientSpeakersError):
-            select_two_speakers(clustering, segs)
+    def test_tied_totals_go_to_the_lower_label(self):
+        labels = np.array([2, 0, 1, 1, 0])
+        assert select_two_speakers(labels, np.array([3.0, 1.0, 2.0, 1.0, 2.0])) == (0, 1)
+
+    def test_single_cluster_gives_none(self):
+        assert select_two_speakers(np.array([0, 0]), np.array([5.0, 4.0])) is None
+
+    @given(drawn=cluster_labels())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_oracle(self, drawn):
+        labels, durations = drawn
+        got = select_two_speakers(labels, durations)
+        assert got == select_two_speakers_oracle(labels, durations)
+        assert (got is None) == (labels.max() == 0)
+
+    def test_cluster_two_speakers_hands_off_regions(self):
+        # Four regions, each one merged segment and one cluster: a (10 s) and
+        # b (8 s) are the speakers. The third region is nearer b alone; the
+        # fourth is as near both, above the overlap threshold, so both get it.
+        vectors = {
+            0.0: basis(0),
+            10.0: basis(1),
+            18.0: 0.9 * basis(2) + 0.1 * basis(1),
+            19.0: 0.5 * basis(0) + 0.5 * basis(1) + basis(3),
+        }
+        speech = [Segment(0, 10), Segment(10, 18), Segment(18, 18.5), Segment(19, 19.5)]
+
+        def embedder(buf, segs):
+            return [vectors[max(t for t in vectors if t <= seg.start_s)] for seg in segs]
+
+        buf = AudioBuffer(np.zeros(8000 * 20), 8000)
+        regions = cluster_two_speakers(buf, speech, Components(embedder, None), PipelineConfig())
+        assert regions == {
+            "spk0": [Segment(0, 10), Segment(19, 19.5)],
+            "spk1": [Segment(10, 18), Segment(18, 18.5), Segment(19, 19.5)],
+        }
+
+    def test_cluster_two_speakers_one_cluster_gives_none(self):
+        speech = [Segment(0, 5), Segment(6, 9)]
+        buf = AudioBuffer(np.zeros(8000 * 10), 8000)
+        components = Components(lambda buf, segs: [basis(0)] * len(segs), None)
+        assert cluster_two_speakers(buf, speech, components, PipelineConfig()) is None
 
 
 class TestAssignWithOverlap:

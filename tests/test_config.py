@@ -82,6 +82,21 @@ def test_vad_window_or_shift_below_one_frame_rejected(key):
     PipelineConfig(**{key: 0.01}).validate()
 
 
+@pytest.mark.parametrize("value", [0.0, -8.0, float("nan")])
+def test_non_positive_target_max_rejected(value):
+    # No target speech at all: every round-1 target would be empty.
+    with pytest.raises(ConfigError, match="target_max_s"):
+        PipelineConfig(target_max_s=value).validate()
+
+
+@pytest.mark.parametrize("value", [0.0, 0.02, -1.0, float("nan")])
+def test_bandwidth_horizon_below_one_frame_rejected(value):
+    # The partition needs one 25 ms frame of the recording.
+    with pytest.raises(ConfigError, match="bandwidth_horizon_s"):
+        PipelineConfig(bandwidth_horizon_s=value).validate()
+    PipelineConfig(bandwidth_horizon_s=0.025).validate()
+
+
 @pytest.mark.parametrize("kind", ["cts", "ncts"])
 def test_segment_shift_longer_than_window_rejected(kind):
     win = getattr(PipelineConfig, f"{kind}_win_s")

@@ -1,8 +1,9 @@
 """Golden outputs: SHA-256 digests of the RTTMs and report lines that fixed
 synthetic recordings give with stub components, in task 1 and task 2; the
 RTTMs the neural detector and the neural embedder give with fixed random
-weights; the speech regions of the neural VAD; and the bytes of the seeded
-weight files.
+weights; the speech regions of the neural VAD; the reference RTTM and
+speech-region file that `synth` writes, and the RTTM that `tsvad` writes
+when it resumes from them; and the bytes of the seeded weight files.
 
 A refactor or an exact speed-up leaves every digest unchanged; a change that
 alters outputs on purpose updates them and says why. The report digests also
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from diarkit.audio import write_wav
+from diarkit.cli import main
 from diarkit.config import PipelineConfig
 from diarkit.models import (
     EmbedNet,
@@ -96,6 +98,18 @@ NET_EMBED_GOLDEN_RTTM = "06800814bc794564098d3501756e06559bc16d8b5a309f208a30bda
 # inside that range.
 NET_VAD_RECORDING = SynthSpec(n_speakers=2, duration_s=6.0, seed=3)
 NET_VAD_GOLDEN = [(0.12, 0.29), (2.75, 5.69), (5.82, 5.98)]
+
+# `diarkit synth` with these arguments writes one two-speaker call with
+# overlapped turns; `diarkit tsvad --stub-embeddings` resumes detection from
+# its reference RTTM and speech regions. Together with `GOLDEN`, these pin
+# every RTTM writer: `synth`'s, `tsvad`'s and `diarize`'s.
+SYNTH_ARGS = ["--speakers", "2", "--duration", "40", "--overlap", "0.3", "--noise", "0.05",
+              "--seed", "7"]
+SYNTH_GOLDEN = {
+    "rttm": "876bfe1bad481ffb9a754af17030dafbc229253345c5e07b1f6b1a1f4e07ff50",
+    "vad": "081ee567072b9bce3fd45ba44fe3121fd2871172d234fd1305f664175cc0ebc6",
+}
+TSVAD_GOLDEN_RTTM = "a3b94df9d52a2ba5754bc1305182169dbc33a00722c80d34b30ddac732fadbf1"
 
 # The weight files that each network's seeded init saves, for seeds 0-3. They
 # pin the draw order that the net goldens above and `net-random` depend on.
@@ -208,6 +222,30 @@ def test_golden_net_vad(tmp_path):
     components = Components(None, None, build_net_vad(cfg))
     regions = speech_regions_for(buf, TASK2, None, components, cfg)
     assert [(s.start_s, s.end_s) for s in regions] == NET_VAD_GOLDEN
+
+
+@pytest.fixture(scope="module")
+def synth_call(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth")
+    assert main(["synth", "--out-dir", str(out), *SYNTH_ARGS]) == 0
+    return out
+
+
+def test_golden_synth_outputs(synth_call):
+    got = {ext: _sha((synth_call / f"synth0007.{ext}").read_bytes()) for ext in SYNTH_GOLDEN}
+    assert got == SYNTH_GOLDEN
+
+
+def test_golden_tsvad_resume(synth_call, tmp_path):
+    out = tmp_path / "resumed.rttm"
+    assert main(
+        [
+            "tsvad", "--audio", str(synth_call / "synth0007.wav"),
+            "--rttm", str(synth_call / "synth0007.rttm"), "--vad", str(synth_call / "synth0007.vad"),
+            "--out", str(out), "--stub-embeddings",
+        ]
+    ) == 0
+    assert _sha(out.read_bytes()) == TSVAD_GOLDEN_RTTM
 
 
 @pytest.mark.parametrize("net", sorted(WEIGHT_GOLDEN))

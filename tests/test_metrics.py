@@ -16,7 +16,6 @@ from diarkit.metrics import (
     RttmTurn,
     _assign,
     compute_der,
-    diarization_to_turns,
     emit_rttm,
     parse_rttm,
     parse_uem,
@@ -32,25 +31,27 @@ def diar(recording_id, *turns):
 
 class TestRttm:
     def test_emit_template(self):
-        line = emit_rttm([RttmTurn("rec1", 1.25, 3.5, "spk01")])
+        line = emit_rttm(diar("rec1", (1.25, 4.75, "spk01")))
         assert line == "SPEAKER rec1 1 1.250 3.500 <NA> <NA> spk01 <NA> <NA>\n"
 
     def test_empty(self):
         assert parse_rttm("") == []
-        assert emit_rttm([]) == ""
+        assert emit_rttm(Diarization("rec1")) == ""
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(0)
-        turns = [
-            RttmTurn(
-                f"rec{rng.integers(3)}",
-                round(float(rng.uniform(0, 100)), 3),
-                round(float(rng.uniform(0.01, 20)), 3),
-                f"spk{rng.integers(5)}",
-            )
-            for _ in range(30)
-        ]
-        assert parse_rttm(emit_rttm(turns)) == turns
+        for rec in ("rec0", "rec1", "rec2"):
+            turns = [
+                RttmTurn(
+                    rec,
+                    round(float(rng.uniform(0, 100)), 3),
+                    round(float(rng.uniform(0.01, 20)), 3),
+                    f"spk{rng.integers(5)}",
+                )
+                for _ in range(10)
+            ]
+            d = diar(rec, *[(t.onset_s, t.onset_s + t.duration_s, t.speaker) for t in turns])
+            assert parse_rttm(emit_rttm(d)) == turns
 
     def test_ignores_other_record_types(self):
         text = (
@@ -184,11 +185,11 @@ class TestUemAndCollar:
 class TestDiarizationConversion:
     def test_round_trip(self):
         d = diar("rec", (0, 1.5, "a"), (1.0, 2.0, "b"))
-        back = turns_to_diarization(diarization_to_turns(d), "rec")
+        back = turns_to_diarization(parse_rttm(emit_rttm(d)), "rec")
         assert back.turns == d.turns
 
     def test_file_filter(self):
-        turns = diarization_to_turns(diar("x", (0, 1, "a")))
+        turns = parse_rttm(emit_rttm(diar("x", (0, 1, "a"))))
         assert turns_to_diarization(turns, "other").turns == []
 
 
