@@ -9,8 +9,8 @@ Subcommands:
   synth      generate tone-coded conversations with references
 
 Exit codes: 0 on success, 2 when any per-file step failed or the run could
-not start (a missing config, weight or score input); the latter prints one
-`diarkit <command>: error: <reason>` line to stderr.
+not start (a missing config, weight or score input, a wav-less directory);
+the latter prints one `diarkit <command>: error: <reason>` line to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .audio import read_wav, write_wav
 from .config import PipelineConfig, load_config, parse_file, save_config
-from .errors import ConfigError, DiarkitError
+from .errors import ConfigError, DiarkitError, EmptyInputError
 from .metrics import compute_der, emit_rttm, parse_rttm, parse_uem, turns_to_diarization
 from .pipeline import (
     TASK1,
@@ -43,11 +43,15 @@ from .vad import read_vad_file, write_vad_file
 
 
 def _wav_inputs(path_args: list[str]) -> list[Path]:
+    """The files named, and each directory's `*.wav` files; a directory with none is an error."""
     paths: list[Path] = []
     for arg in path_args:
         p = Path(arg)
         if p.is_dir():
-            paths.extend(sorted(p.glob("*.wav")))
+            wavs = sorted(p.glob("*.wav"))
+            if not wavs:
+                raise EmptyInputError(f"{p}: no .wav files")
+            paths.extend(wavs)
         else:
             paths.append(p)
     return paths
@@ -130,8 +134,7 @@ def cmd_tsvad(args) -> int:
     file_id = Path(args.audio).stem
     try:
         buf = narrowband(read_wav(args.audio))
-        turns = parse_file(args.rttm, parse_rttm)
-        diar = turns_to_diarization(turns, file_id)
+        diar = turns_to_diarization(parse_file(args.rttm, parse_rttm), file_id)
         if not diar.turns:
             raise DiarkitError(f"no turns for {file_id} in {args.rttm}")
         speech = read_vad_file(args.vad) if args.vad else [seg for seg, _ in diar.turns]
@@ -152,15 +155,15 @@ def cmd_score(args) -> int:
     ref_turns = parse_file(args.ref, parse_rttm)
     hyp_turns = parse_file(args.hyp, parse_rttm)
     uem = parse_file(args.uem, parse_uem) if args.uem else {}
+    if not ref_turns and not hyp_turns:
+        raise EmptyInputError(f"no SPEAKER lines in {args.ref} or {args.hyp}")
     totals = {"err": 0.0, "ref": 0.0}
     failed = False
-    for file_id in dict.fromkeys(t.file_id for t in ref_turns):
+    for file_id in dict.fromkeys([*ref_turns, *hyp_turns]):
         ref = turns_to_diarization(ref_turns, file_id)
         hyp = turns_to_diarization(hyp_turns, file_id)
         try:
-            report = compute_der(
-                ref, hyp, collar_s=args.collar, uem=uem.get(file_id)
-            )
+            report = compute_der(ref, hyp, collar_s=args.collar, uem=uem.get(file_id))
         except DiarkitError as exc:
             print(f"{file_id}: ERROR {exc}", file=sys.stderr)
             failed = True

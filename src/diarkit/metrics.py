@@ -1,5 +1,8 @@
 """RTTM/UEM parsing and emission, and DER with an optimal speaker mapping.
 
+`parse_rttm` and `parse_uem` map each file id to what the file holds for it:
+its `(Segment, speaker)` turns in file order, or its scored regions.
+
 DER follows the standard accounting: with a one-to-one hypothesis-to-
 reference speaker mapping chosen to maximize matched speaker time, each
 instant contributes
@@ -28,20 +31,6 @@ from .segments import Diarization, Segment
 FRAME_S = 0.001
 
 
-@dataclass(frozen=True)
-class RttmTurn:
-    file_id: str
-    onset_s: float
-    duration_s: float
-    speaker: str
-
-    def __post_init__(self):
-        if not (0 <= self.onset_s < math.inf and 0 < self.duration_s < math.inf):
-            raise FormatError(
-                f"invalid turn: onset {self.onset_s}, duration {self.duration_s}"
-            )
-
-
 @dataclass
 class DerReport:
     der: float
@@ -52,9 +41,10 @@ class DerReport:
     mapping: dict[str, str] = field(default_factory=dict)
 
 
-def parse_rttm(text: str) -> list[RttmTurn]:
-    """Parse SPEAKER lines; other record types are ignored."""
-    turns = []
+def parse_rttm(text: str) -> dict[str, list[tuple[Segment, str]]]:
+    """Each file id's `(Segment, speaker)` turns, in file order, from the
+    SPEAKER lines; other record types are ignored."""
+    turns: dict[str, list[tuple[Segment, str]]] = {}
     for lineno, line in records(text, ";;"):
         parts = line.split()
         if parts[0] != "SPEAKER":
@@ -65,16 +55,23 @@ def parse_rttm(text: str) -> list[RttmTurn]:
             onset, dur = float(parts[3]), float(parts[4])
         except ValueError as exc:
             raise LineError(lineno, "non-numeric onset/duration") from exc
+        if not (0 <= onset < math.inf and 0 < dur < math.inf):
+            raise LineError(lineno, f"invalid turn: onset {onset}, duration {dur}")
         try:
-            turns.append(RttmTurn(parts[1], onset, dur, parts[7]))
-        except FormatError as exc:
+            seg = Segment(onset, onset + dur)
+        except ParameterError as exc:  # the end rounds to the onset, or overflows
             raise LineError(lineno, str(exc)) from exc
+        turns.setdefault(parts[1], []).append((seg, parts[7]))
     return turns
 
 
 def emit_rttm(diar: Diarization) -> str:
     """RTTM text of `diar`: one SPEAKER line per turn, in turn order, with
-    onset and duration in seconds to 1 ms."""
+    onset and duration in seconds to 1 ms. The recording id and each speaker
+    label must be one RTTM field: not empty, and with no whitespace."""
+    for name in (diar.recording_id, *diar.speakers()):
+        if name.split() != [name]:
+            raise FormatError(f"not an RTTM field (empty or holds whitespace): {name!r}")
     return "".join(
         f"SPEAKER {diar.recording_id} 1 {seg.start_s:.3f} {seg.duration:.3f} "
         f"<NA> <NA> {spk} <NA> <NA>\n"
@@ -82,12 +79,9 @@ def emit_rttm(diar: Diarization) -> str:
     )
 
 
-def turns_to_diarization(turns: list[RttmTurn], file_id: str) -> Diarization:
-    selected = [t for t in turns if t.file_id == file_id]
-    return Diarization(
-        file_id,
-        [(Segment(t.onset_s, t.onset_s + t.duration_s), t.speaker) for t in selected],
-    )
+def turns_to_diarization(turns: dict[str, list[tuple[Segment, str]]], file_id: str) -> Diarization:
+    """The `parse_rttm` turns of `file_id`; none when it has no SPEAKER line."""
+    return Diarization(file_id, turns.get(file_id, []))
 
 
 def parse_uem(text: str) -> dict[str, list[Segment]]:

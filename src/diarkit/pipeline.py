@@ -209,14 +209,14 @@ def diarize_cts(
     components: Components,
     cfg: PipelineConfig,
     recording_id: str,
-) -> tuple[Diarization, int, str]:
+) -> RoundResult:
     """Narrowband path on 8 kHz `buf`: cluster into two speakers, then
     iterate target-speaker detection rounds."""
     regions = cluster_two_speakers(buf, speech, components, cfg)
     if regions is None:
-        return Diarization.from_regions(recording_id, {"spk0": speech}), 0, "single cluster"
-    result = detection_rounds(buf, regions, speech, components, cfg, recording_id)
-    return result.diarization, result.rounds, result.warning or ""
+        single = Diarization.from_regions(recording_id, {"spk0": speech})
+        return RoundResult(single, 0, False, "single cluster")
+    return detection_rounds(buf, regions, speech, components, cfg, recording_id)
 
 
 def diarize_ncts(
@@ -283,9 +283,9 @@ def process_recording(
 
         t0 = timer()
         if result.bandwidth == CTS:
-            diar, rounds, warning = diarize_cts(buf, speech, components, cfg, file_id)
-            result.rounds = rounds
-            result.warning = warning
+            outcome = diarize_cts(buf, speech, components, cfg, file_id)
+            diar, result.rounds = outcome.diarization, outcome.rounds
+            result.warning = outcome.warning or ""
         else:
             diar = diarize_ncts(buf, speech, components, cfg, file_id)
         result.timing["diarize"] = round(timer() - t0, 4)
@@ -328,6 +328,8 @@ def run_pipeline(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if report_path is not None:
+        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
     vad_paths = vad_paths or {}
     first: dict[str, int] = {}
     for i, wav_path in enumerate(inputs):

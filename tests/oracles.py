@@ -39,10 +39,15 @@ The whole-recording forms that block-by-block work replaced:
 STFT, before segments shared one STFT per run; `per_segment` turns such a
 one-buffer embedder into the `embedder(buf, segments)` form, cutting each
 segment with `slice_seconds` as `_embed_segments` once did.
+
+`parse_rttm_oracle` is the RTTM reader before `parse_rttm` grouped turns by
+file id: one checked `RttmTurn` per SPEAKER line, then a filter that built
+each turn of one file id as a `(Segment, speaker)` pair.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +61,15 @@ from diarkit.audio import (
     mean_normalize,
 )
 from diarkit.clustering import Clustering
-from diarkit.errors import EmptyInputError, InputError, NumericError, ParameterError
+from diarkit.config import records
+from diarkit.errors import (
+    EmptyInputError,
+    FormatError,
+    InputError,
+    LineError,
+    NumericError,
+    ParameterError,
+)
 from diarkit.metrics import FRAME_S, DerReport
 from diarkit.models import EMBED_BINS, STAGE_STRIDES
 from diarkit.nn import batch_norm_infer
@@ -633,3 +646,39 @@ def per_segment(embed_one):
         return out
 
     return embedder
+
+
+@dataclass(frozen=True)
+class RttmTurn:
+    file_id: str
+    onset_s: float
+    duration_s: float
+    speaker: str
+
+    def __post_init__(self):
+        if not (0 <= self.onset_s < math.inf and 0 < self.duration_s < math.inf):
+            raise FormatError(
+                f"invalid turn: onset {self.onset_s}, duration {self.duration_s}"
+            )
+
+
+def parse_rttm_oracle(text, file_id):
+    """The `(Segment, speaker)` turns of `file_id` in `text`, in file order;
+    every SPEAKER line is checked first, whatever its file id."""
+    turns = []
+    for lineno, line in records(text, ";;"):
+        parts = line.split()
+        if parts[0] != "SPEAKER":
+            continue
+        if len(parts) < 8:
+            raise LineError(lineno, f"SPEAKER line has {len(parts)} fields, need >= 8")
+        try:
+            onset, dur = float(parts[3]), float(parts[4])
+        except ValueError as exc:
+            raise LineError(lineno, "non-numeric onset/duration") from exc
+        try:
+            turns.append(RttmTurn(parts[1], onset, dur, parts[7]))
+        except FormatError as exc:
+            raise LineError(lineno, str(exc)) from exc
+    selected = [t for t in turns if t.file_id == file_id]
+    return [(Segment(t.onset_s, t.onset_s + t.duration_s), t.speaker) for t in selected]

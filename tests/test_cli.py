@@ -56,8 +56,9 @@ class TestSynthCommand:
 
     def test_reference_parses(self, synth_dir):
         turns = parse_rttm((synth_dir / "synth0003.rttm").read_text())
-        assert len(turns) > 0
-        assert {t.speaker for t in turns} == {"spk0", "spk1"}
+        assert list(turns) == ["synth0003"]
+        assert len(turns["synth0003"]) > 0
+        assert {spk for _, spk in turns["synth0003"]} == {"spk0", "spk1"}
 
 
 class TestPartitionCommand:
@@ -153,8 +154,58 @@ class TestDiarizeCommand:
         code = main(
             ["diarize", str(empty), "--out-dir", str(out_dir), "--stub-embeddings"]
         )
+        assert code == 2
+        assert capsys.readouterr().err == f"diarkit diarize: error: {empty}: no .wav files\n"
+        assert not out_dir.exists()
+
+    def test_file_id_with_whitespace_is_an_error(self, synth_dir, tmp_path, capsys):
+        # "my call" would be written as two RTTM fields, and read back as
+        # file id "my" with every turn wrong.
+        data, out = tmp_path / "sp", tmp_path / "outsp"
+        data.mkdir()
+        (data / "my call.wav").write_bytes((synth_dir / "synth0003.wav").read_bytes())
+        (data / "my call.vad").write_bytes((synth_dir / "synth0003.vad").read_bytes())
+        code = main(
+            [
+                "diarize", str(data / "my call.wav"), "--out-dir", str(out),
+                "--mode", "task1", "--vad-dir", str(data), "--stub-embeddings",
+            ]
+        )
+        assert code == 2
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith("my call\terror\tCTS\tFormatError: ") and "'my call'" in line
+        assert sorted(p.name for p in out.iterdir()) == ["report.jsonl"]
+        [entry] = [json.loads(x) for x in (out / "report.jsonl").read_text().splitlines()]
+        assert (entry["status"], entry["rttm_path"]) == ("error", "")
+
+        code = main(
+            [
+                "tsvad", "--audio", str(data / "my call.wav"),
+                "--rttm", str(synth_dir / "synth0003.rttm"), "--stub-embeddings",
+                "--out", str(tmp_path / "resumed.rttm"),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("my call\tERROR\t")
+
+    def test_report_into_a_new_directory(self, synth_dir, tmp_path, capsys):
+        report = tmp_path / "nodir" / "sub" / "report.jsonl"
+        code = main(
+            [
+                "diarize", str(synth_dir), "--out-dir", str(tmp_path / "out"),
+                "--mode", "task1", "--vad-dir", str(synth_dir), "--stub-embeddings",
+                "--report", str(report),
+            ]
+        )
         assert code == 0
-        assert (out_dir / "report.jsonl").read_text() == ""
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[:2] for line in lines] == [["synth0003", "ok"], ["synth0004", "ok"]]
+        entries = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [(e["file_id"], e["status"]) for e in entries] == [
+            ("synth0003", "ok"), ("synth0004", "ok"),
+        ]
 
     def test_per_file_failure_isolation(self, synth_dir, tmp_path):
         bad = synth_dir / "broken.wav"
@@ -268,6 +319,45 @@ class TestScoreCommand:
         captured = capsys.readouterr()
         assert "rec: DER 0.00%" in captured.out
         assert captured.err == ""
+
+    @staticmethod
+    def _write(path, *turns):
+        """`path` with one SPEAKER line per `(file id, onset, end, speaker)`."""
+        path.write_text("".join(
+            emit_rttm(Diarization(file_id, [(Segment(a, b), spk)])) for file_id, a, b, spk in turns
+        ))
+        return str(path)
+
+    def test_hypothesis_file_id_missing_from_reference(self, tmp_path, capsys):
+        ref = self._write(tmp_path / "ref.rttm", ("a", 0, 10, "s"))
+        hyp = self._write(tmp_path / "hyp.rttm", ("a", 0, 10, "h"), ("b", 0, 5, "h"))
+        assert main(["score", ref, hyp]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "a: DER 0.00% (miss 0.00%, fa 0.00%, conf 0.00%)", "OVERALL: DER 0.00%",
+        ]
+        assert captured.err == "b: ERROR reference has no scored speaker time\n"
+
+    def test_empty_reference(self, tmp_path, capsys):
+        ref = tmp_path / "ref.rttm"
+        ref.write_text(";; no turns\n")
+        hyp = self._write(tmp_path / "hyp.rttm", ("a", 0, 10, "h"), ("b", 0, 5, "h"))
+        assert main(["score", str(ref), hyp]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "a: ERROR reference has no scored speaker time",
+            "b: ERROR reference has no scored speaker time",
+        ]
+
+    def test_no_speaker_lines_in_either_file(self, tmp_path, capsys):
+        ref, hyp = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
+        ref.write_text("")
+        hyp.write_text("NON-LEX a 1 0.000 1.000 <NA> <NA> laugh <NA> <NA>\n")
+        assert main(["score", str(ref), str(hyp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"diarkit score: error: no SPEAKER lines in {ref} or {hyp}\n"
 
     @pytest.mark.parametrize("collar", ["-1", "nan"])
     def test_bad_collar_is_an_error(self, tmp_path, capsys, collar):
@@ -559,6 +649,21 @@ class TestSetupErrors:
         assert len(lines) == 1 and "Traceback" not in captured.err
         assert lines[0].startswith(f"diarkit {command}: error: ")
         return lines[0]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["partition"], ["vad", "--stub-embeddings"], ["diarize", "--stub-embeddings"]],
+        ids=["partition", "vad", "diarize"],
+    )
+    def test_directory_without_wav(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("no audio here\n")
+        out = ["--out-dir", str(tmp_path / "out")] if command[0] == "diarize" else []
+        assert main([command[0], str(empty), *command[1:], *out]) == 2
+        line = self._single_error_line(capsys, command[0])
+        assert line == f"diarkit {command[0]}: error: {empty}: no .wav files"
+        assert not (tmp_path / "out").exists()
 
     def test_score_missing_reference(self, synth_dir, tmp_path, capsys):
         missing = tmp_path / "missing.rttm"

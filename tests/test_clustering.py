@@ -22,14 +22,16 @@ from diarkit.clustering import (
     v2s_pair_accuracy,
     v2s_similarity_matrix,
 )
-from diarkit.audio import AudioBuffer
+from diarkit.audio import AudioBuffer, write_wav
 from diarkit.config import PipelineConfig
 from diarkit.errors import DegenerateGraphError, NumericError, ParameterError
 from diarkit.models import V2sScorer
-from diarkit.pipeline import Components, cluster_two_speakers
+from diarkit.pipeline import TASK1, Components, cluster_two_speakers, diarize_cts, process_recording
 from diarkit.segmenter import EmbeddedSegment
-from diarkit.segments import Segment
+from diarkit.segments import Diarization, Segment
 from diarkit.synth import orthonormal_prototypes
+from diarkit.tsvad import RoundResult
+from diarkit.vad import write_vad_file
 from oracles import (
     ahc_oracle,
     assign_with_overlap_oracle,
@@ -347,6 +349,23 @@ class TestSelectTwoSpeakers:
         buf = AudioBuffer(np.zeros(8000 * 10), 8000)
         components = Components(lambda buf, segs: [basis(0)] * len(segs), None)
         assert cluster_two_speakers(buf, speech, components, PipelineConfig()) is None
+
+    def test_one_cluster_is_one_speaker_after_no_round(self, tmp_path):
+        speech = [Segment(0, 5), Segment(6, 9)]
+        buf = AudioBuffer(np.zeros(8000 * 10), 8000)
+        components = Components(lambda buf, segs: [basis(0)] * len(segs), None)
+        single = Diarization("call", [(Segment(0, 5), "spk0"), (Segment(6, 9), "spk0")])
+        result = diarize_cts(buf, speech, components, PipelineConfig(), "call")
+        assert result == RoundResult(single, 0, False, "single cluster")
+        write_wav(tmp_path / "call.wav", buf)
+        write_vad_file(tmp_path / "call.vad", speech)
+        report = process_recording(
+            tmp_path / "call.wav", tmp_path, TASK1, components, PipelineConfig(),
+            tmp_path / "call.vad",
+        )
+        assert (report.status, report.n_speakers, report.rounds, report.warning) == (
+            "ok", 1, 0, "single cluster",
+        )
 
 
 class TestAssignWithOverlap:

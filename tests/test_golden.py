@@ -3,7 +3,8 @@ synthetic recordings give with stub components, in task 1 and task 2; the
 RTTMs the neural detector and the neural embedder give with fixed random
 weights; the speech regions of the neural VAD; the reference RTTM and
 speech-region file that `synth` writes, and the RTTM that `tsvad` writes
-when it resumes from them; and the bytes of the seeded weight files.
+when it resumes from them; what `score` prints for a task-1 RTTM against
+its synthetic reference; and the bytes of the seeded weight files.
 
 A refactor or an exact speed-up leaves every digest unchanged; a change that
 alters outputs on purpose updates them and says why. The report digests also
@@ -20,6 +21,7 @@ import pytest
 from diarkit.audio import write_wav
 from diarkit.cli import main
 from diarkit.config import PipelineConfig
+from diarkit.metrics import emit_rttm
 from diarkit.models import (
     EmbedNet,
     TsvadNet,
@@ -111,6 +113,10 @@ SYNTH_GOLDEN = {
 }
 TSVAD_GOLDEN_RTTM = "a3b94df9d52a2ba5754bc1305182169dbc33a00722c80d34b30ddac732fadbf1"
 
+# What `diarkit score` prints for the task-1 RTTM of `cts2` against the
+# reference that `gen_audio_conversation` gives with it.
+SCORE_GOLDEN = "a69ff27c7c653dbc7c5bcc4099477e7948d42b2f84949f9f1ba522e33772638e"
+
 # The weight files that each network's seeded init saves, for seeds 0-3. They
 # pin the draw order that the net goldens above and `net-random` depend on.
 WEIGHT_INITS = {
@@ -158,6 +164,7 @@ def wav_dir(tmp_path_factory):
         buf, ref = gen_audio_conversation(spec, recording_id=file_id)
         write_wav(out / f"{file_id}.wav", buf)
         write_vad_file(out / f"{file_id}.vad", reference_speech(ref.turns))
+        (out / f"{file_id}.rttm").write_text(emit_rttm(ref), encoding="utf-8")
     return out
 
 
@@ -182,6 +189,16 @@ def test_golden_outputs(wav_dir, tmp_path, mode):
             _sha(json.dumps(entry, sort_keys=True).encode("utf-8")),
         )
         assert got == GOLDEN[(mode, file_id)], (mode, file_id, line)
+
+
+def test_golden_score(wav_dir, tmp_path, capsys):
+    run_pipeline(
+        [wav_dir / "cts2.wav"], tmp_path, TASK1, build_stub_components(), PipelineConfig(),
+        {"cts2": wav_dir / "cts2.vad"},
+    )
+    assert main(["score", str(wav_dir / "cts2.rttm"), str(tmp_path / "cts2.rttm")]) == 0
+    out = capsys.readouterr().out
+    assert _sha(out.encode("utf-8")) == SCORE_GOLDEN, out
 
 
 def test_golden_net_detector(tmp_path):

@@ -3,6 +3,7 @@ brute-force oracle and the 1 ms grid scorer the interval sweep replaced."""
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from der_oracle import der_oracle, random_diarization
-from diarkit.errors import FormatError, InputError, ParameterError
+from diarkit.errors import FormatError, InputError, LineError, ParameterError
 from diarkit.metrics import (
-    RttmTurn,
     _assign,
     compute_der,
     emit_rttm,
@@ -22,11 +22,53 @@ from diarkit.metrics import (
     turns_to_diarization,
 )
 from diarkit.segments import Diarization, Segment
-from oracles import compute_der_grid_oracle, scored_overlap_oracle
+from oracles import compute_der_grid_oracle, parse_rttm_oracle, scored_overlap_oracle
 
 
 def diar(recording_id, *turns):
     return Diarization(recording_id, [(Segment(a, b), s) for a, b, s in turns])
+
+
+# Lines that `parse_rttm` skips, and malformed SPEAKER lines; `{}` is a file id.
+OTHER_LINES = [
+    "NON-LEX {} 1 5.000 1.000 <NA> <NA> laugh <NA> <NA>",
+    "SPKR-INFO {} 1 <NA> <NA> <NA> unknown a <NA> <NA>",
+    ";; comment",
+    ";;SPEAKER {} 1 oops",
+    "",
+    " \t ",
+]
+MALFORMED_LINES = [
+    "SPEAKER {} 1 oops",
+    "SPEAKER",
+    "SPEAKER {} 1 zero 1.000 <NA> <NA> a <NA> <NA>",
+    "SPEAKER {} 1 1.000 -2.000 <NA> <NA> a <NA> <NA>",
+    "SPEAKER {} 1 1.000 0.000 <NA> <NA> a <NA> <NA>",
+    "SPEAKER {} 1 nan 1.000 <NA> <NA> a <NA> <NA>",
+    "SPEAKER {} 1 1.000 inf <NA> <NA> a <NA> <NA>",
+]
+
+
+@st.composite
+def rttm_texts(draw):
+    """1-3 file ids, and RTTM text of 0-30 SPEAKER lines that interleave
+    them, with times to the millisecond, among other record types, comments
+    and blank lines; in half the draws, one malformed SPEAKER line too."""
+    ids = draw(st.lists(st.sampled_from(["rec", "call-2", "x_y"]), min_size=1, max_size=3,
+                        unique=True))
+    file_id = st.sampled_from(ids)
+    millis = st.integers(0, 600_000).map(lambda ms: ms / 1000)
+    speaker_line = st.builds(
+        "SPEAKER {} 1 {:.3f} {:.3f} <NA> <NA> {} <NA> <NA>".format,
+        file_id, millis, millis.filter(lambda s: s > 0), st.sampled_from(["a", "b", "spk0"]),
+    )
+    lines = draw(st.lists(speaker_line, max_size=30))
+    extra = draw(st.lists(st.sampled_from(OTHER_LINES), max_size=8))
+    if draw(st.booleans()):
+        extra.append(draw(st.sampled_from(MALFORMED_LINES)))
+    for template in extra:
+        lines.insert(draw(st.integers(0, len(lines))), template.format(draw(file_id)))
+    return ids, "\n".join(lines) + "\n"
 
 
 class TestRttm:
@@ -35,23 +77,18 @@ class TestRttm:
         assert line == "SPEAKER rec1 1 1.250 3.500 <NA> <NA> spk01 <NA> <NA>\n"
 
     def test_empty(self):
-        assert parse_rttm("") == []
+        assert parse_rttm("") == {}
         assert emit_rttm(Diarization("rec1")) == ""
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(0)
         for rec in ("rec0", "rec1", "rec2"):
-            turns = [
-                RttmTurn(
-                    rec,
-                    round(float(rng.uniform(0, 100)), 3),
-                    round(float(rng.uniform(0.01, 20)), 3),
-                    f"spk{rng.integers(5)}",
-                )
-                for _ in range(10)
-            ]
-            d = diar(rec, *[(t.onset_s, t.onset_s + t.duration_s, t.speaker) for t in turns])
-            assert parse_rttm(emit_rttm(d)) == turns
+            turns = []
+            for _ in range(10):
+                onset = round(float(rng.uniform(0, 100)), 3)
+                duration = round(float(rng.uniform(0.01, 20)), 3)
+                turns.append((Segment(onset, onset + duration), f"spk{rng.integers(5)}"))
+            assert parse_rttm(emit_rttm(Diarization(rec, turns))) == {rec: turns}
 
     def test_ignores_other_record_types(self):
         text = (
@@ -59,9 +96,18 @@ class TestRttm:
             "SPEAKER rec1 1 0.000 2.000 <NA> <NA> a <NA> <NA>\n"
             ";; comment\n"
         )
-        turns = parse_rttm(text)
-        assert len(turns) == 1
-        assert turns[0].speaker == "a"
+        assert parse_rttm(text) == {"rec1": [(Segment(0.0, 2.0), "a")]}
+
+    def test_turns_grouped_by_file_id_in_file_order(self):
+        text = (
+            "SPEAKER b 1 4.000 1.000 <NA> <NA> s1 <NA> <NA>\n"
+            "SPEAKER a 1 2.000 1.000 <NA> <NA> s2 <NA> <NA>\n"
+            "SPEAKER b 1 0.000 1.000 <NA> <NA> s3 <NA> <NA>\n"
+        )
+        assert parse_rttm(text) == {
+            "b": [(Segment(4.0, 5.0), "s1"), (Segment(0.0, 1.0), "s3")],
+            "a": [(Segment(2.0, 3.0), "s2")],
+        }
 
     def test_malformed_line_reports_number(self):
         text = "SPEAKER rec1 1 0.0 1.0 <NA> <NA> a <NA> <NA>\nSPEAKER rec1 1 oops\n"
@@ -75,6 +121,33 @@ class TestRttm:
     def test_negative_duration_rejected(self):
         with pytest.raises(FormatError):
             parse_rttm("SPEAKER rec1 1 1.0 -2.0 <NA> <NA> a <NA> <NA>\n")
+
+    def test_end_that_rounds_to_the_onset_names_its_line(self):
+        text = "SPEAKER rec1 1 0.0 1.0 <NA> <NA> a <NA> <NA>\nSPEAKER rec1 1 1e16 0.5 <NA> <NA> a\n"
+        with pytest.raises(LineError, match=r"^line 2: invalid segment \[1e\+16, 1e\+16\]"):
+            parse_rttm(text)
+
+    @given(rttm_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_old_parser(self, case):
+        ids, text = case
+        try:
+            want = {file_id: parse_rttm_oracle(text, file_id) for file_id in ids}
+        except LineError as exc:
+            with pytest.raises(LineError) as got:
+                parse_rttm(text)
+            assert str(got.value) == str(exc)
+            return
+        got = parse_rttm(text)
+        assert {file_id: got.get(file_id, []) for file_id in ids} == want
+        assert set(got) == {file_id for file_id in ids if want[file_id]}
+
+    @pytest.mark.parametrize("field", ["my call", "", "a\tb", " a", "spk\n"])
+    def test_emit_rejects_what_is_not_one_field(self, field):
+        with pytest.raises(FormatError, match=re.escape(repr(field))):
+            emit_rttm(diar(field, (0, 1, "a")))
+        with pytest.raises(FormatError, match=re.escape(repr(field))):
+            emit_rttm(diar("rec", (0, 1, "a"), (1, 2, field)))
 
     def test_uem_parsing(self):
         regions = parse_uem("rec1 1 0.0 10.0\nrec2 1 5.0 6.0\nrec1 1 20.0 30.0\n")
