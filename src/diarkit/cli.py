@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .audio import read_wav, write_wav
 from .config import PipelineConfig, load_config, parse_file, save_config
-from .errors import ConfigError, DiarkitError, EmptyInputError
+from .errors import ConfigError, DiarkitError, EmptyInputError, InputError
 from .metrics import compute_der, emit_rttm, parse_rttm, parse_uem, turns_to_diarization
 from .pipeline import (
     TASK1,
@@ -163,6 +163,8 @@ def cmd_score(args) -> int:
         ref = turns_to_diarization(ref_turns, file_id)
         hyp = turns_to_diarization(hyp_turns, file_id)
         try:
+            if args.uem and file_id not in uem:
+                raise InputError(f"UEM has no entry for {file_id}")
             report = compute_der(ref, hyp, collar_s=args.collar, uem=uem.get(file_id))
         except DiarkitError as exc:
             print(f"{file_id}: ERROR {exc}", file=sys.stderr)

@@ -65,13 +65,19 @@ def parse_rttm(text: str) -> dict[str, list[tuple[Segment, str]]]:
     return turns
 
 
+def check_rttm_field(name: str) -> None:
+    """Raise FormatError unless `name` is one RTTM field: not empty, and with
+    no whitespace."""
+    if name.split() != [name]:
+        raise FormatError(f"not an RTTM field (empty or holds whitespace): {name!r}")
+
+
 def emit_rttm(diar: Diarization) -> str:
     """RTTM text of `diar`: one SPEAKER line per turn, in turn order, with
     onset and duration in seconds to 1 ms. The recording id and each speaker
-    label must be one RTTM field: not empty, and with no whitespace."""
+    label must each pass `check_rttm_field`."""
     for name in (diar.recording_id, *diar.speakers()):
-        if name.split() != [name]:
-            raise FormatError(f"not an RTTM field (empty or holds whitespace): {name!r}")
+        check_rttm_field(name)
     return "".join(
         f"SPEAKER {diar.recording_id} 1 {seg.start_s:.3f} {seg.duration:.3f} "
         f"<NA> <NA> {spk} <NA> <NA>\n"

@@ -29,7 +29,7 @@ from .clustering import (
 )
 from .config import PipelineConfig
 from .errors import ConfigError, DiarkitError
-from .metrics import emit_rttm
+from .metrics import check_rttm_field, emit_rttm
 from .models import EmbedNet, TsvadNet, V2sScorer, VadNet
 from .partition import CTS, BandwidthClass, classify_bandwidth
 from .segmenter import EmbeddedSegment, recursive_merge, uniform_segments
@@ -260,6 +260,7 @@ def process_recording(
     result = FileResult(file_id=file_id, status="ok")
     timer = time.perf_counter
     try:
+        check_rttm_field(file_id)  # before any work: the id names the RTTM's lines
         t0 = timer()
         buf = read_wav(wav_path)
         result.timing["read"] = round(timer() - t0, 4)

@@ -55,10 +55,10 @@ def recursive_merge(
     items = list(segs)
     if len(items) < 2:
         return items
-    sims = [
-        clustering.cosine_similarity(a.embedding, b.embedding) for a, b in zip(items, items[1:])
-    ]
-    while sims:
+    sims = np.array(
+        [clustering.cosine_similarity(a.embedding, b.embedding) for a, b in zip(items, items[1:])]
+    )
+    while sims.size:
         best = int(np.argmax(sims))
         if sims[best] <= threshold:
             break
@@ -68,7 +68,7 @@ def recursive_merge(
             (left.embedding + right.embedding) / 2.0,
         )
         items[best : best + 2] = [merged]
-        del sims[best]
+        sims = np.delete(sims, best)
         if best > 0:
             sims[best - 1] = clustering.cosine_similarity(
                 items[best - 1].embedding, merged.embedding

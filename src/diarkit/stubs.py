@@ -29,12 +29,14 @@ ENERGY_REL_THRESHOLD = 0.1
 def _band_profile(magnitudes: np.ndarray) -> np.ndarray:
     """Fold an nfft/2+1 magnitude row (or rows) into 128 bands, minus the
     per-profile median (a flat-noise-floor estimate: tone lines survive,
-    broadband noise mostly cancels)."""
-    bands = magnitudes[..., 1:257]
-    shape = bands.shape[:-1] + (EMBED_DIM, 2)
-    profile = bands.reshape(shape).mean(axis=-1)
-    floor = np.median(profile, axis=-1, keepdims=True)
-    return np.maximum(profile - floor, 0.0)
+    broadband noise mostly cancels).
+
+    Each band is the mean of two bins. The median is the mean of the two
+    middle values of each sorted profile, the same bytes as `np.median` for
+    finite magnitudes; a sort places NaN last, where `np.median` gives NaN."""
+    profile = (magnitudes[..., 1:257:2] + magnitudes[..., 2:257:2]) / 2.0
+    middle = np.sort(profile, axis=-1)[..., EMBED_DIM // 2 - 1 : EMBED_DIM // 2 + 1]
+    return np.maximum(profile - (middle[..., :1] + middle[..., 1:]) / 2.0, 0.0)
 
 
 class SpectralEmbedder:

@@ -40,6 +40,12 @@ STFT, before segments shared one STFT per run; `per_segment` turns such a
 one-buffer embedder into the `embedder(buf, segments)` form, cutting each
 segment with `slice_seconds` as `_embed_segments` once did.
 
+`band_profile_oracle` and `median_filter_oracle` are `stubs._band_profile`
+and `tsvad.median_filter` as they were before a sort and a partition took
+their order statistics: each calls `np.median`. `spectral_tracks_oracle`
+and `spectral_embed_oracle` build their profiles with `band_profile_oracle`,
+so they share no code with the stub they check.
+
 `parse_rttm_oracle` is the RTTM reader before `parse_rttm` grouped turns by
 file id: one checked `RttmTurn` per SPEAKER line, then a filter that built
 each turn of one file id as a `(Segment, speaker)` pair.
@@ -71,10 +77,9 @@ from diarkit.errors import (
     ParameterError,
 )
 from diarkit.metrics import FRAME_S, DerReport
-from diarkit.models import EMBED_BINS, STAGE_STRIDES
+from diarkit.models import EMBED_BINS, EMBED_DIM, STAGE_STRIDES
 from diarkit.nn import batch_norm_infer
 from diarkit.segments import Diarization, Segment, mask_to_segments, merge_segments
-from diarkit.stubs import _band_profile
 
 MAX_MAPPED_SPEAKERS = 8
 
@@ -559,10 +564,33 @@ def resample_to_8k_oracle(buf):
     return filtered[delay : delay + buf.samples.size][::2]
 
 
+def band_profile_oracle(magnitudes):
+    """`stubs._band_profile`: bin pairs folded by a reshape and a mean, then
+    floored at `np.median`."""
+    bands = magnitudes[..., 1:257]
+    shape = bands.shape[:-1] + (EMBED_DIM, 2)
+    profile = bands.reshape(shape).mean(axis=-1)
+    floor = np.median(profile, axis=-1, keepdims=True)
+    return np.maximum(profile - floor, 0.0)
+
+
+def median_filter_oracle(track, taps):
+    """`tsvad.median_filter`: `np.median` over each window of the reflected
+    track, with taps clamped to `2 * len(track) - 1`."""
+    n = track.size
+    if n == 0:
+        return track.copy()
+    eff = min(taps, 2 * n - 1)
+    half = eff // 2
+    padded = np.pad(track, half, mode="reflect") if half else track
+    windows = np.lib.stride_tricks.sliding_window_view(padded, eff)
+    return np.median(windows, axis=1)
+
+
 def spectral_tracks_oracle(buf, targets):
     """`SpectralTsvad.tracks(buf, targets)`: per-frame cosine between the
     frame's band profile and each target, clipped to [0, 1]."""
-    frames = _band_profile(stft_magnitude_oracle(buf))
+    frames = band_profile_oracle(stft_magnitude_oracle(buf))
     norms = np.linalg.norm(frames, axis=1)
     unit = frames / np.maximum(norms, 1e-12)[:, None]
     out = np.empty((len(targets), frames.shape[0]))
@@ -624,7 +652,7 @@ def target_samples_oracle(buf, regions, max_s):
 def spectral_embed_oracle(buf):
     """`SpectralEmbedder` on a whole buffer from its own STFT; raises
     EmptyInputError for silence, or for a buffer shorter than a frame."""
-    profile = _band_profile(stft_magnitude_oracle(buf).mean(axis=0)[None, :])[0]
+    profile = band_profile_oracle(stft_magnitude_oracle(buf).mean(axis=0)[None, :])[0]
     norm = np.linalg.norm(profile)
     if norm == 0.0:
         raise EmptyInputError("silent segment has no spectral profile")

@@ -172,11 +172,13 @@ class TestDiarizeCommand:
             ]
         )
         assert code == 2
+        # The id is checked before the recording is read, so no bandwidth.
         [line] = capsys.readouterr().out.splitlines()
-        assert line.startswith("my call\terror\tCTS\tFormatError: ") and "'my call'" in line
+        assert line.startswith("my call\terror\t\tFormatError: ") and "'my call'" in line
         assert sorted(p.name for p in out.iterdir()) == ["report.jsonl"]
         [entry] = [json.loads(x) for x in (out / "report.jsonl").read_text().splitlines()]
         assert (entry["status"], entry["rttm_path"]) == ("error", "")
+        assert "read" not in entry["timing"]
 
         code = main(
             [
@@ -337,6 +339,30 @@ class TestScoreCommand:
             "a: DER 0.00% (miss 0.00%, fa 0.00%, conf 0.00%)", "OVERALL: DER 0.00%",
         ]
         assert captured.err == "b: ERROR reference has no scored speaker time\n"
+
+    def test_uem_names_one_of_two_file_ids(self, tmp_path, capsys):
+        ref = self._write(tmp_path / "ref.rttm", ("a", 0, 10, "s"), ("b", 0, 10, "s"))
+        hyp = self._write(tmp_path / "hyp.rttm", ("a", 0, 5, "h"), ("b", 0, 5, "h"))
+        uem = tmp_path / "a.uem"
+        uem.write_text("a 1 0.000 5.000\n")
+        assert main(["score", ref, hyp, "--uem", str(uem)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "a: DER 0.00% (miss 0.00%, fa 0.00%, conf 0.00%)", "OVERALL: DER 0.00%",
+        ]
+        assert captured.err == "b: ERROR UEM has no entry for b\n"
+
+    def test_uem_names_neither_file_id(self, tmp_path, capsys):
+        ref = self._write(tmp_path / "ref.rttm", ("a", 0, 10, "s"), ("b", 0, 10, "s"))
+        hyp = self._write(tmp_path / "hyp.rttm", ("a", 0, 5, "h"), ("b", 0, 5, "h"))
+        uem = tmp_path / "c.uem"
+        uem.write_text("c 1 0.000 5.000\n")
+        assert main(["score", ref, hyp, "--uem", str(uem)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "a: ERROR UEM has no entry for a", "b: ERROR UEM has no entry for b",
+        ]
 
     def test_empty_reference(self, tmp_path, capsys):
         ref = tmp_path / "ref.rttm"

@@ -5,7 +5,9 @@ narrowband path in bounded memory.
 `classify_bandwidth` work one block of `BLOCK_FRAMES` frames at a time, and
 `SpectralEmbedder` reads each segment's frames out of one STFT per run of
 overlapping segments. All of it is exact: each is checked bytewise against
-the whole-buffer and per-segment forms kept in `tests/oracles.py`. Reading
+the whole-buffer and per-segment forms kept in `tests/oracles.py`, and the
+band profile, whose median comes from a sort, against its `np.median` form
+on drawn magnitudes with ties, constant rows and zeros. Reading
 and resampling make no whole-length temporary, `process_recording`
 holds one copy of a narrowband call, and `diarkit partition` reads only the
 horizon it classifies.
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from diarkit import pipeline, stubs
 from diarkit.audio import (
     BLOCK_FRAMES,
+    NFFT,
     AudioBuffer,
     frame_geometry,
     frame_signal,
@@ -40,6 +43,7 @@ from diarkit.segments import Segment
 from diarkit.stubs import EnergyVad, SpectralEmbedder, SpectralTsvad
 from diarkit.synth import SynthSpec, gen_audio_conversation
 from oracles import (
+    band_profile_oracle,
     per_segment,
     spectral_embed_oracle,
     spectral_tracks_oracle,
@@ -88,6 +92,32 @@ def test_classify_bandwidth_matches_the_whole_buffer(n_frames):
     mags = stft_magnitude_oracle(buf)
     freqs = np.arange(mags.shape[1]) * 16000 / 512
     assert classify_bandwidth(buf).peak_above_4k == mags[:, freqs > SPLIT_HZ].max()
+
+
+BIN_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 1e3))
+
+
+@st.composite
+def magnitude_rows(draw):
+    """One row of nfft/2+1 non-negative bins: one value throughout, or each
+    bin drawn from a few repeated values and any float, so that ties and
+    zeros are common."""
+    if draw(st.booleans()):
+        return np.full(NFFT // 2 + 1, draw(BIN_VALUES))
+    return np.array(draw(st.lists(BIN_VALUES, min_size=NFFT // 2 + 1, max_size=NFFT // 2 + 1)))
+
+
+class TestBandProfile:
+    @given(magnitude_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_one_row_matches_the_median_oracle(self, row):
+        assert stubs._band_profile(row).tobytes() == band_profile_oracle(row).tobytes()
+
+    @given(st.lists(magnitude_rows(), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_median_oracle(self, rows):
+        mags = np.stack(rows)
+        assert stubs._band_profile(mags).tobytes() == band_profile_oracle(mags).tobytes()
 
 
 @st.composite

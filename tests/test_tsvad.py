@@ -24,6 +24,7 @@ from diarkit.tsvad import (
 )
 from oracles import (
     assignment_matrix_oracle,
+    median_filter_oracle,
     per_segment,
     spectral_tracks_oracle,
     target_samples_oracle,
@@ -335,6 +336,19 @@ class TestMedianFilter:
         out = median_filter(np.array([0.3, 0.9, 0.1]), taps=11)
         assert out.shape == (3,)
         assert np.all(np.isfinite(out))
+
+    @given(
+        track=st.lists(
+            st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0)),
+            max_size=60,
+        ),
+        taps=st.integers(0, 15).map(lambda k: 2 * k + 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_median_oracle(self, track, taps):
+        # array_equal, not bytes: the two may order -0.0 and 0.0 differently.
+        track = np.array(track, dtype=np.float64)
+        assert np.array_equal(median_filter(track, taps), median_filter_oracle(track, taps))
 
 
 def two_tracks(a, b):
