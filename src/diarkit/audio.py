@@ -143,7 +143,7 @@ def write_wav(path, buf: AudioBuffer) -> None:
 
 def resample_to_8k(buf: AudioBuffer) -> AudioBuffer:
     """Decimate 16 kHz audio by 2 after an anti-alias low-pass, one chunk of
-    RESAMPLE_CHUNK output samples at a time.
+    RESAMPLE_CHUNK output samples at a time; 8 kHz audio is returned as it is.
 
     Output sample k is sample 2k + delay of the full convolution with the
     filter. Each chunk convolves its own input span, which holds every
@@ -152,8 +152,10 @@ def resample_to_8k(buf: AudioBuffer) -> AudioBuffer:
     samples as in one whole-recording `np.convolve`, to the last bit. A span
     shorter than the filter is widened to the left: `np.convolve` would
     otherwise swap its arguments and sum in another order."""
+    if buf.sample_rate == 8000:
+        return buf
     if buf.sample_rate != 16000:
-        raise ParameterError(f"expected 16 kHz input, got {buf.sample_rate}")
+        raise ParameterError(f"expected 8 or 16 kHz input, got {buf.sample_rate}")
     x = buf.samples
     n = np.arange(DECIMATION_TAPS) - (DECIMATION_TAPS - 1) / 2
     fc = DECIMATION_CUTOFF_HZ / 16000.0

@@ -19,21 +19,27 @@ import argparse
 import sys
 from pathlib import Path
 
-from .audio import read_wav, write_wav
+from .audio import read_wav, resample_to_8k, write_wav
 from .config import PipelineConfig, load_config, parse_file, save_config
 from .errors import ConfigError, DiarkitError, EmptyInputError, InputError
-from .metrics import compute_der, emit_rttm, parse_rttm, parse_uem, turns_to_diarization
+from .metrics import (
+    check_rttm_field,
+    compute_der,
+    emit_rttm,
+    parse_rttm,
+    parse_uem,
+    turns_to_diarization,
+)
+from .partition import classify_bandwidth
 from .pipeline import (
     TASK1,
     TASK2,
     Components,
     atomic_write,
-    bandwidth_class,
     build_net_components,
     build_net_vad,
     build_stub_components,
     detection_rounds,
-    narrowband,
     run_pipeline,
     speech_regions_for,
 )
@@ -76,7 +82,7 @@ def cmd_partition(args) -> int:
         try:
             # The class is decided from the first horizon seconds alone.
             buf = read_wav(path, cfg.bandwidth_horizon_s)
-            cls = bandwidth_class(buf, cfg)
+            cls = classify_bandwidth(buf, cfg.bandwidth_threshold, cfg.bandwidth_horizon_s)
             print(f"{path.stem}\t{cls.value}\t{cls.peak_above_4k:.6f}")
         except DiarkitError as exc:
             print(f"{path.stem}\tERROR\t{exc}", file=sys.stderr)
@@ -96,8 +102,8 @@ def cmd_vad(args) -> int:
     failed = False
     for path in _wav_inputs(args.inputs):
         try:
-            buf = read_wav(path)
-            segs = speech_regions_for(buf, TASK2, None, components, cfg)
+            check_rttm_field(path.stem)  # the id starts each printed line
+            segs = speech_regions_for(read_wav(path), TASK2, None, components, cfg)
             for seg in segs:
                 print(f"{path.stem} {seg.start_s:.3f} {seg.end_s:.3f}")
         except DiarkitError as exc:
@@ -133,7 +139,8 @@ def cmd_tsvad(args) -> int:
     components = _components(args, cfg)
     file_id = Path(args.audio).stem
     try:
-        buf = narrowband(read_wav(args.audio))
+        check_rttm_field(file_id)  # before the read: the id names the RTTM's lines
+        buf = resample_to_8k(read_wav(args.audio))
         diar = turns_to_diarization(parse_file(args.rttm, parse_rttm), file_id)
         if not diar.turns:
             raise DiarkitError(f"no turns for {file_id} in {args.rttm}")

@@ -27,16 +27,19 @@ def classify_bandwidth(
     threshold: float = PipelineConfig.bandwidth_threshold,
     horizon_s: float = PipelineConfig.bandwidth_horizon_s,
 ) -> BandwidthClass:
-    """Classify a 16 kHz recording as CTS (telephone) or NCTS.
+    """Classify an 8 or 16 kHz recording as CTS (telephone) or NCTS.
 
-    Looks at the first `horizon_s` seconds and takes the maximum STFT
-    magnitude over bins whose center frequency is strictly above 4 kHz,
-    one block of frames at a time.
+    8 kHz input is already narrowband: CTS, with no energy above 4 kHz.
+    For 16 kHz input, looks at the first `horizon_s` seconds and takes the
+    maximum STFT magnitude over bins whose center frequency is strictly
+    above 4 kHz, one block of frames at a time.
     The recording is NCTS iff that peak exceeds `threshold`.
     """
+    if buf.sample_rate == 8000:
+        return BandwidthClass(CTS, 0.0)
     if buf.sample_rate != 16000:
         raise ParameterError(
-            f"bandwidth classification needs 16 kHz input, got {buf.sample_rate}"
+            f"bandwidth classification needs 8 or 16 kHz input, got {buf.sample_rate}"
         )
     n = min(buf.samples.size, int(round(horizon_s * buf.sample_rate)))
     above = np.arange(NFFT // 2 + 1) * (buf.sample_rate / NFFT) > SPLIT_HZ

@@ -2,9 +2,11 @@
 (AHC + overlap + TSVAD rounds) or wideband (spectral clustering) path, with
 per-recording isolation and a JSON-lines run report.
 
-The narrowband path holds one copy of the recording: a 16 kHz call is
-downsampled to 8 kHz right after VAD, and the 16 kHz buffer is released
-before clustering and detection."""
+The narrowband path runs at 8 kHz and holds one copy of the recording:
+`classify_bandwidth` reads 8 kHz input as CTS and `resample_to_8k` passes it
+through, while a 16 kHz call is downsampled right after VAD and its 16 kHz
+buffer is released before clustering and detection. `_timed` stores each
+stage's wall time in the report's `timing`."""
 
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .config import PipelineConfig
 from .errors import ConfigError, DiarkitError
 from .metrics import check_rttm_field, emit_rttm
 from .models import EmbedNet, TsvadNet, V2sScorer, VadNet
-from .partition import CTS, BandwidthClass, classify_bandwidth
+from .partition import CTS, classify_bandwidth
 from .segmenter import EmbeddedSegment, recursive_merge, uniform_segments
 from .segments import Diarization, Segment
 from .stubs import EnergyVad, SpectralEmbedder, SpectralTsvad
@@ -176,20 +178,6 @@ def cluster_two_speakers(
     return regions
 
 
-def bandwidth_class(buf: AudioBuffer, cfg: PipelineConfig) -> BandwidthClass:
-    """8 kHz input is already narrowband: CTS, with no energy above 4 kHz.
-    Other input is classified by `classify_bandwidth` at `cfg`'s threshold
-    and horizon."""
-    if buf.sample_rate == 8000:
-        return BandwidthClass(CTS, 0.0)
-    return classify_bandwidth(buf, cfg.bandwidth_threshold, cfg.bandwidth_horizon_s)
-
-
-def narrowband(buf: AudioBuffer) -> AudioBuffer:
-    """The narrowband path runs at 8 kHz: a 16 kHz buffer is downsampled."""
-    return resample_to_8k(buf) if buf.sample_rate == 16000 else buf
-
-
 def detection_rounds(
     buf: AudioBuffer, regions: dict[str, list[Segment]], speech: list[Segment],
     components: Components, cfg: PipelineConfig, recording_id: str,
@@ -247,6 +235,15 @@ def diarize_ncts(
     return Diarization.from_regions(recording_id, per_speaker)
 
 
+def _timed(result: FileResult, stage: str, fn, *args):
+    """`fn(*args)`, with its wall time in seconds stored as
+    `result.timing[stage]`; a call that raises stores nothing."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    result.timing[stage] = round(time.perf_counter() - t0, 4)
+    return out
+
+
 def process_recording(
     wav_path,
     out_dir,
@@ -258,38 +255,26 @@ def process_recording(
     """Diarize one recording and write `<file-id>.rttm` atomically."""
     file_id = Path(wav_path).stem
     result = FileResult(file_id=file_id, status="ok")
-    timer = time.perf_counter
     try:
         check_rttm_field(file_id)  # before any work: the id names the RTTM's lines
-        t0 = timer()
-        buf = read_wav(wav_path)
-        result.timing["read"] = round(timer() - t0, 4)
-
-        t0 = timer()
-        bandwidth = bandwidth_class(buf, cfg)
+        buf = _timed(result, "read", read_wav, wav_path)
+        bandwidth = _timed(
+            result, "partition", classify_bandwidth,
+            buf, cfg.bandwidth_threshold, cfg.bandwidth_horizon_s,
+        )
         result.bandwidth = bandwidth.value
         result.peak_above_4k = round(bandwidth.peak_above_4k, 6)
-        result.timing["partition"] = round(timer() - t0, 4)
-
-        t0 = timer()
-        speech = speech_regions_for(buf, mode, vad_path, components, cfg)
-        result.timing["vad"] = round(timer() - t0, 4)
+        speech = _timed(result, "vad", speech_regions_for, buf, mode, vad_path, components, cfg)
         if not speech:
             raise DiarkitError("no speech detected")
 
         if result.bandwidth == CTS:
-            t0 = timer()
-            buf = narrowband(buf)  # rebound, so the 16 kHz buffer is freed here
-            result.timing["resample"] = round(timer() - t0, 4)
-
-        t0 = timer()
-        if result.bandwidth == CTS:
-            outcome = diarize_cts(buf, speech, components, cfg, file_id)
+            buf = _timed(result, "resample", resample_to_8k, buf)  # rebound: frees the 16 kHz buffer
+            outcome = _timed(result, "diarize", diarize_cts, buf, speech, components, cfg, file_id)
             diar, result.rounds = outcome.diarization, outcome.rounds
             result.warning = outcome.warning or ""
         else:
-            diar = diarize_ncts(buf, speech, components, cfg, file_id)
-        result.timing["diarize"] = round(timer() - t0, 4)
+            diar = _timed(result, "diarize", diarize_ncts, buf, speech, components, cfg, file_id)
 
         result.n_segments = len(diar.turns)
         result.n_speakers = len(diar.speakers())

@@ -42,8 +42,11 @@ class SynthSpec:
             raise ParameterError("need at least one speaker")
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ParameterError("overlap_fraction must lie in [0, 1)")
-        if self.duration_s <= 0 or self.turn_min_s <= 0 or self.turn_max_s < self.turn_min_s:
+        # Comparisons with NaN are false, so NaN fails each of these too.
+        if not (0 < self.duration_s < np.inf and 0 < self.turn_min_s <= self.turn_max_s < np.inf):
             raise ParameterError("invalid duration/turn-length parameters")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ParameterError("noise_sigma must be finite and non-negative")
 
 
 @dataclass

@@ -172,9 +172,13 @@ class TestResample:
         e_out = np.sum(out.samples**2)
         assert e_out < 0.01 * e_in
 
+    def test_8k_input_passes_through(self):
+        buf = AudioBuffer(np.random.default_rng(0).normal(size=8000), 8000)
+        assert resample_to_8k(buf) is buf
+
     def test_rejects_wrong_rate(self):
         with pytest.raises(ParameterError):
-            resample_to_8k(AudioBuffer(np.zeros(8000), 8000))
+            resample_to_8k(AudioBuffer(np.zeros(22050), 22050))
 
     @pytest.mark.parametrize("freq", [500, 1234, 2500, 3400])
     def test_sub_nyquist_frequency_within_one_bin(self, freq):

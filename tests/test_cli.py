@@ -192,6 +192,15 @@ class TestDiarizeCommand:
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("my call\tERROR\t")
 
+    def test_failed_stage_has_no_timing(self, synth_dir, tmp_path):
+        # Task 1 without a VAD file fails in the VAD stage; the stages before it keep their times.
+        [result] = run_pipeline(
+            [synth_dir / "synth0003.wav"], tmp_path / "out", TASK1,
+            build_stub_components(), PipelineConfig(),
+        )
+        assert result.status == "error" and "external VAD file" in result.error
+        assert sorted(result.timing) == ["partition", "read"]
+
     def test_report_into_a_new_directory(self, synth_dir, tmp_path, capsys):
         report = tmp_path / "nodir" / "sub" / "report.jsonl"
         code = main(
@@ -466,6 +475,21 @@ class TestTsvadCommand:
         assert out.read_text() == emit_rttm(result.diarization)
         assert list(tmp_path.glob("*.tmp")) == []  # written through a temporary file
 
+    def test_file_id_is_checked_before_the_read(self, synth_dir, tmp_path, capsys):
+        # Not a WAV file: only a check made before the read names the id.
+        wav = tmp_path / "my call.wav"
+        wav.write_bytes(b"RIFFgarbage")
+        code = main(
+            [
+                "tsvad", "--audio", str(wav), "--rttm", str(synth_dir / "synth0003.rttm"),
+                "--stub-embeddings", "--out", str(tmp_path / "resumed.rttm"),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("my call\tERROR\tnot an RTTM field")
+
 
 class TestVadCommand:
     def test_stub_vad_regions(self, synth_dir, capsys):
@@ -475,6 +499,15 @@ class TestVadCommand:
         for line in lines:
             file_id, start, end = line.split()
             assert float(end) > float(start)
+
+    def test_file_id_with_whitespace_is_an_error(self, synth_dir, tmp_path, capsys):
+        # "my call 0.000 19.980" would read back as four fields.
+        wav = tmp_path / "my call.wav"
+        wav.write_bytes((synth_dir / "synth0003.wav").read_bytes())
+        assert main(["vad", str(wav), "--stub-embeddings"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("my call ERROR not an RTTM field")
 
 
 class TestNctsPath:

@@ -54,9 +54,13 @@ class TestClassifyBandwidth:
             assert cls.peak_above_4k == pytest.approx(peak)
             assert cls.value == ("NCTS" if peak > 0.07 else "CTS")
 
-    def test_rejects_8k_input(self):
+    def test_8k_input_is_narrowband(self):
+        cls = classify_bandwidth(AudioBuffer(np.random.default_rng(0).normal(size=8000), 8000))
+        assert (cls.value, cls.peak_above_4k) == ("CTS", 0.0)
+
+    def test_rejects_other_rates(self):
         with pytest.raises(ParameterError):
-            classify_bandwidth(AudioBuffer(np.zeros(8000), 8000))
+            classify_bandwidth(AudioBuffer(np.zeros(22050), 22050))
 
     def test_horizon_limits_analysis(self):
         # Noise burst after the horizon must not affect the class.

@@ -99,12 +99,18 @@ BIN_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 1e3))
 
 @st.composite
 def magnitude_rows(draw):
-    """One row of nfft/2+1 non-negative bins: one value throughout, or each
-    bin drawn from a few repeated values and any float, so that ties and
-    zeros are common."""
+    """One row of nfft/2+1 non-negative bins from a few drawn values and a
+    seed: one value throughout, or each bin one of the values, zero, or a
+    fresh uniform draw, so that ties and zeros are common. A failing row
+    then shrinks through these few draws, not bin by bin."""
+    values = draw(st.lists(BIN_VALUES, min_size=1, max_size=4))
     if draw(st.booleans()):
-        return np.full(NFFT // 2 + 1, draw(BIN_VALUES))
-    return np.array(draw(st.lists(BIN_VALUES, min_size=NFFT // 2 + 1, max_size=NFFT // 2 + 1)))
+        return np.full(NFFT // 2 + 1, values[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = rng.choice(values + [0.0], NFFT // 2 + 1)
+    fresh = rng.random(row.size) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    row[fresh] = rng.uniform(0.0, 1e3, fresh.sum())
+    return row
 
 
 class TestBandProfile:
@@ -268,7 +274,9 @@ class TestMemoryOnTenMinutes:
         line that classifying a whole read gives."""
         code, peak = _peak(main, ["partition", str(ten_minute_wav)])
         assert code == 0
-        cls = pipeline.bandwidth_class(read_wav(ten_minute_wav), PipelineConfig())
+        cfg = PipelineConfig()
+        buf = read_wav(ten_minute_wav)
+        cls = classify_bandwidth(buf, cfg.bandwidth_threshold, cfg.bandwidth_horizon_s)
         assert capsys.readouterr().out == f"call\t{cls.value}\t{cls.peak_above_4k:.6f}\n"
         horizon = int(PipelineConfig.bandwidth_horizon_s * 16000) * 8
         assert peak < horizon + 32 * MB

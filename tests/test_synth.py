@@ -118,3 +118,19 @@ class TestAudioConversation:
             SynthSpec(overlap_fraction=1.0)
         with pytest.raises(ParameterError):
             SynthSpec(turn_min_s=2.0, turn_max_s=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration_s", float("inf")),
+            ("duration_s", float("nan")),
+            ("turn_max_s", float("inf")),
+            ("noise_sigma", -0.3),
+            ("noise_sigma", float("inf")),
+            ("noise_sigma", float("nan")),
+        ],
+    )
+    def test_values_that_never_end_or_do_nothing(self, field, value):
+        # An infinite duration never ends the turn loop; a negative noise would be ignored.
+        with pytest.raises(ParameterError):
+            SynthSpec(**{field: value})
