@@ -133,7 +133,10 @@ def read_wav(path, max_s: float | None = None) -> AudioBuffer:
 
 def write_wav(path, buf: AudioBuffer) -> None:
     """Write an AudioBuffer as PCM-16 mono."""
-    pcm = np.clip(np.round(buf.samples * 32768.0), -32768, 32767).astype("<i2")
+    scaled = buf.samples * 32768.0  # the one full-length float temporary
+    np.round(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    pcm = scaled.astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .audio import read_wav, resample_to_8k, write_wav
 from .config import PipelineConfig, load_config, parse_file, save_config
-from .errors import ConfigError, DiarkitError, EmptyInputError, InputError
+from .errors import ConfigError, DiarkitError, EmptyInputError, InputError, ParameterError
 from .metrics import (
     check_rttm_field,
     compute_der,
@@ -39,12 +39,12 @@ from .pipeline import (
     build_net_components,
     build_net_vad,
     build_stub_components,
-    detection_rounds,
     run_pipeline,
     speech_regions_for,
 )
 from .stubs import reference_speech
 from .synth import SynthSpec, gen_audio_conversation
+from .tsvad import run_rounds
 from .vad import read_vad_file, write_vad_file
 
 
@@ -145,13 +145,15 @@ def cmd_tsvad(args) -> int:
         if not diar.turns:
             raise DiarkitError(f"no turns for {file_id} in {args.rttm}")
         speech = read_vad_file(args.vad) if args.vad else [seg for seg, _ in diar.turns]
-        result = detection_rounds(buf, diar.per_speaker(), speech, components, cfg, file_id)
+        result = run_rounds(
+            buf, diar.per_speaker(), components.tsvad_net, components.embedder, speech, cfg, file_id
+        )
         out_path = Path(args.out) if args.out else Path(f"{file_id}.tsvad.rttm")
         atomic_write(out_path, emit_rttm(result.diarization))
     except (DiarkitError, OSError) as exc:
         print(f"{file_id}\tERROR\t{exc}", file=sys.stderr)
         return 2
-    status = "converged" if result.converged else "round-limit"
+    status = "stopped" if result.warning else "converged" if result.converged else "round-limit"
     print(f"{file_id}\trounds={result.rounds}\t{status}\t{out_path}")
     if result.warning:
         print(f"warning: {result.warning}", file=sys.stderr)
@@ -190,6 +192,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.count < 1:
+        raise ParameterError(f"--count must be >= 1, got {args.count}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):

@@ -3,6 +3,7 @@ published operating points of every stage."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -48,6 +49,12 @@ class PipelineConfig:
     v2s_weights: str = ""
 
     def validate(self) -> None:
+        for f in fields(self):  # NaN fails every comparison below, and infinity passes some
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("cts_win_s", "cts_shift_s", "ncts_win_s", "ncts_shift_s"):
             value = getattr(self, name)
             if not value > 0:

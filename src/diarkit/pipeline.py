@@ -178,19 +178,6 @@ def cluster_two_speakers(
     return regions
 
 
-def detection_rounds(
-    buf: AudioBuffer, regions: dict[str, list[Segment]], speech: list[Segment],
-    components: Components, cfg: PipelineConfig, recording_id: str,
-) -> RoundResult:
-    """Target-speaker detection rounds on 8 kHz `buf` from initial
-    per-speaker regions, at `cfg`'s operating points."""
-    return run_rounds(
-        buf, regions, components.tsvad_net, components.embedder, speech,
-        threshold=cfg.tsvad_threshold, median_taps=cfg.median_taps,
-        max_rounds=cfg.max_rounds, target_max_s=cfg.target_max_s, recording_id=recording_id,
-    )
-
-
 def diarize_cts(
     buf: AudioBuffer,
     speech: list[Segment],
@@ -204,7 +191,9 @@ def diarize_cts(
     if regions is None:
         single = Diarization.from_regions(recording_id, {"spk0": speech})
         return RoundResult(single, 0, False, "single cluster")
-    return detection_rounds(buf, regions, speech, components, cfg, recording_id)
+    return run_rounds(
+        buf, regions, components.tsvad_net, components.embedder, speech, cfg, recording_id
+    )
 
 
 def diarize_ncts(

@@ -135,7 +135,6 @@ def gen_audio_conversation(
     rng = np.random.default_rng(spec.seed)
     turns = _gen_turns(spec, rng)
     n = int(round(spec.duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
     ramp_n = max(1, int(EDGE_RAMP_S * sample_rate))
     audio = np.zeros(n)
     for seg, speaker in turns:
@@ -147,10 +146,12 @@ def gen_audio_conversation(
             fade = np.linspace(0.0, 1.0, edge)
             envelope[:edge] = fade
             envelope[-edge:] = fade[::-1]
-        audio[lo:hi] += TONE_AMPLITUDE * envelope * speaker_tone(speaker, t[lo:hi])
+        t = np.arange(lo, hi) / sample_rate
+        audio[lo:hi] += TONE_AMPLITUDE * envelope * speaker_tone(speaker, t)
     if spec.noise_sigma > 0:
         audio += rng.normal(0.0, spec.noise_sigma, n)
-    return AudioBuffer(np.clip(audio, -1.0, 1.0), sample_rate), _reference(turns, recording_id)
+    np.clip(audio, -1.0, 1.0, out=audio)
+    return AudioBuffer(audio, sample_rate), _reference(turns, recording_id)
 
 
 def overlap_time(diar: Diarization, grid_s: float = 0.001) -> float:

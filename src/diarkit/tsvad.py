@@ -133,13 +133,11 @@ def run_rounds(
     net,
     embedder,
     speech: list[Segment],
-    threshold: float = PipelineConfig.tsvad_threshold,
-    median_taps: int = PipelineConfig.median_taps,
-    max_rounds: int = PipelineConfig.max_rounds,
-    target_max_s: float = PipelineConfig.target_max_s,
+    cfg: PipelineConfig | None = None,
     recording_id: str = "rec",
 ) -> RoundResult:
-    """Iterate target extraction and detection until the diarization stops
+    """Iterate target extraction and detection, at the operating points of
+    `cfg` (`PipelineConfig()` when None), until the diarization stops
     changing, or the round budget runs out. For a fixed speaker order the
     turns are a one-to-one function of the frame assignment, so equal turns
     mean the frame-for-frame fixed point. `net.bind(buf)` runs once, after
@@ -148,37 +146,36 @@ def run_rounds(
     A round that leaves any speaker without speech falls back to the previous
     round's result with a warning instead of failing.
     """
-    if max_rounds < 1:
+    cfg = cfg or PipelineConfig()
+    if cfg.max_rounds < 1:
         raise ParameterError("max_rounds must be >= 1")
     speakers = list(initial_regions)
     regions = initial_regions
-    previous: Diarization | None = None
     history: list[Diarization] = []
     tracks_for = None
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, cfg.max_rounds + 1):
         try:
-            targets = extract_target_embeddings(buf, regions, embedder, target_max_s)
+            targets = extract_target_embeddings(buf, regions, embedder, cfg.target_max_s)
         except InsufficientSpeechError as exc:
-            if previous is None:
+            if not history:
                 raise
-            return RoundResult(previous, rounds - 1, False, warning=str(exc), history=history)
+            return RoundResult(history[-1], rounds - 1, False, warning=str(exc), history=history)
         if tracks_for is None:
             tracks_for = net.bind(buf)
         tracks = run_tsvad(tracks_for, targets)
-        diar = postprocess(tracks, speech, threshold, median_taps, recording_id)
+        diar = postprocess(tracks, speech, cfg.tsvad_threshold, cfg.median_taps, recording_id)
         history.append(diar)
         per = diar.per_speaker()
         empty = [s for s in speakers if not per.get(s)]
         if empty:
-            if previous is None:
+            if rounds == 1:
                 raise EmptyInputError(f"round 1 produced no speech for {empty}")
             return RoundResult(
-                previous, rounds - 1, False,
+                history[-2], rounds - 1, False,
                 warning=f"round {rounds} emptied speakers {empty}; kept round {rounds - 1}",
                 history=history,
             )
-        if previous is not None and diar.turns == previous.turns:
+        if rounds > 1 and diar.turns == history[-2].turns:
             return RoundResult(diar, rounds, True, history=history)
-        previous = diar
         regions = {s: per[s] for s in speakers}
-    return RoundResult(previous, max_rounds, False, history=history)
+    return RoundResult(history[-1], cfg.max_rounds, False, history=history)

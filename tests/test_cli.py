@@ -490,6 +490,32 @@ class TestTsvadCommand:
         assert captured.out == ""
         assert captured.err.startswith("my call\tERROR\tnot an RTTM field")
 
+    def test_early_stop_is_reported_as_stopped(self, tmp_path, capsys):
+        # spk1's 0.3 s region yields 0.01 s of round-1 speech, too little for
+        # a round-2 target, so the rounds stop after round 1 of 4.
+        assert main(
+            [
+                "synth", "--out-dir", str(tmp_path), "--speakers", "2", "--duration", "20",
+                "--overlap", "0.4", "--noise", "0.05", "--seed", "1",
+            ]
+        ) == 0
+        ref_turns = parse_rttm((tmp_path / "synth0001.rttm").read_text())
+        ref = turns_to_diarization(ref_turns, "synth0001")
+        turns = [(seg, "spk0") for seg, _ in ref.turns] + [(Segment(0.0, 0.3), "spk1")]
+        rttm = tmp_path / "one-speaker.rttm"
+        rttm.write_text(emit_rttm(Diarization("synth0001", turns)))
+        out = tmp_path / "resumed.rttm"
+        capsys.readouterr()
+        assert main(
+            [
+                "tsvad", "--audio", str(tmp_path / "synth0001.wav"), "--rttm", str(rttm),
+                "--vad", str(tmp_path / "synth0001.vad"), "--out", str(out), "--stub-embeddings",
+            ]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"synth0001\trounds=1\tstopped\t{out}\n"
+        assert captured.err == "warning: speaker spk1: 0.010s of speech, need >= 0.25s\n"
+
 
 class TestVadCommand:
     def test_stub_vad_regions(self, synth_dir, capsys):
@@ -723,6 +749,29 @@ class TestSetupErrors:
         line = self._single_error_line(capsys, command[0])
         assert line == f"diarkit {command[0]}: error: {empty}: no .wav files"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["bandwidth_horizon_s=inf", "tsvad_threshold=nan", "seed=-1"])
+    def test_bad_config_value_stops_partition(self, synth_dir, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["partition", str(synth_dir), "--config", str(cfg)]) == 2
+        key = line.partition("=")[0]
+        assert key in self._single_error_line(capsys, "partition")
+
+    def test_negative_seed_stops_diarize_before_any_read(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["diarize", str(synth_dir), "--out-dir", str(out), "--stub-embeddings"]
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in self._single_error_line(capsys, "diarize")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_synth_count_below_one(self, tmp_path, capsys, count):
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out), "--count", count]) == 2
+        line = self._single_error_line(capsys, "synth")
+        assert line == f"diarkit synth: error: --count must be >= 1, got {count}"
+        assert not out.exists()
 
     def test_score_missing_reference(self, synth_dir, tmp_path, capsys):
         missing = tmp_path / "missing.rttm"

@@ -1,6 +1,8 @@
 """Config defaults, file round-trip, and rejection of unknown keys and bad
 values."""
 
+from dataclasses import fields
+
 import pytest
 
 from diarkit.config import PipelineConfig, load_config, save_config
@@ -110,3 +112,28 @@ def test_not_utf8_rejected(tmp_path):
     path.write_bytes(b"seed=1\n# \xff\n")
     with pytest.raises(FormatError, match="bad.cfg"):
         load_config(path)
+
+
+FLOAT_KEYS = [f.name for f in fields(PipelineConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected(tmp_path, key, raw):
+    # Every comparison with NaN is false, and infinity passes every lower bound.
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        PipelineConfig().override(**{key: float(raw)})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key}={raw}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config(path)
+
+
+def test_negative_seed_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        PipelineConfig().override(seed=-1)
+    path = tmp_path / "bad.cfg"
+    path.write_text("seed=-1\n")
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(path)
+    assert PipelineConfig().override(seed=0).seed == 0

@@ -3,8 +3,10 @@ synthetic recordings give with stub components, in task 1 and task 2; the
 RTTMs the neural detector and the neural embedder give with fixed random
 weights; the speech regions of the neural VAD; the reference RTTM and
 speech-region file that `synth` writes, and the RTTM that `tsvad` writes
-when it resumes from them; what `score` prints for a task-1 RTTM against
-its synthetic reference; and the bytes of the seeded weight files.
+when it resumes from them; the RTTMs `diarize` and `tsvad` give on a call
+with detection run away from its default operating points; what `score`
+prints for a task-1 RTTM against its synthetic reference; and the bytes of
+the seeded weight files.
 
 A refactor or an exact speed-up leaves every digest unchanged; a change that
 alters outputs on purpose updates them and says why. The report digests also
@@ -112,6 +114,17 @@ SYNTH_GOLDEN = {
     "vad": "081ee567072b9bce3fd45ba44fe3121fd2871172d234fd1305f664175cc0ebc6",
 }
 TSVAD_GOLDEN_RTTM = "a3b94df9d52a2ba5754bc1305182169dbc33a00722c80d34b30ddac732fadbf1"
+
+# `diarize --mode task1` and `tsvad`, both with stub components, on the golden
+# `cts2` call under a config that moves each detection operating point away
+# from its default. Setting any one of the four back to its default changes
+# at least one of the two RTTMs, so the digests pin that each value reaches
+# the rounds through both commands.
+DETECTION_CFG = {"tsvad_threshold": 0.8, "median_taps": 301, "max_rounds": 1, "target_max_s": 4.0}
+DETECTION_GOLDEN = {
+    "diarize": "ea2a6cc3e0cc0d1a7916b67940a44c207ab176dcc2999dbc78f9669ffa9c11a6",
+    "tsvad": "de9eea15e563976113e524f699ca47aa4369e38e8727eda4513a036144f0e71e",
+}
 
 # What `diarkit score` prints for the task-1 RTTM of `cts2` against the
 # reference that `gen_audio_conversation` gives with it.
@@ -263,6 +276,24 @@ def test_golden_tsvad_resume(synth_call, tmp_path):
         ]
     ) == 0
     assert _sha(out.read_bytes()) == TSVAD_GOLDEN_RTTM
+
+
+def test_golden_detection_operating_points(wav_dir, tmp_path):
+    cfg = tmp_path / "detection.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in DETECTION_CFG.items()), encoding="utf-8")
+    wav = str(wav_dir / "cts2.wav")
+    common = ["--stub-embeddings", "--config", str(cfg)]
+    assert main(
+        ["diarize", wav, "--out-dir", str(tmp_path), "--mode", TASK1, "--vad-dir", str(wav_dir),
+         *common]
+    ) == 0
+    resumed = tmp_path / "resumed.rttm"
+    assert main(
+        ["tsvad", "--audio", wav, "--rttm", str(wav_dir / "cts2.rttm"),
+         "--vad", str(wav_dir / "cts2.vad"), "--out", str(resumed), *common]
+    ) == 0
+    got = {"diarize": (tmp_path / "cts2.rttm").read_bytes(), "tsvad": resumed.read_bytes()}
+    assert {cmd: _sha(data) for cmd, data in got.items()} == DETECTION_GOLDEN
 
 
 @pytest.mark.parametrize("net", sorted(WEIGHT_GOLDEN))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from diarkit import stubs
 from diarkit.audio import AudioBuffer, frame_signal
+from diarkit.config import PipelineConfig
 from diarkit.errors import EmptyInputError, InsufficientSpeechError, ParameterError
 from diarkit.models import TsvadNet, init_tsvad_weights
 from diarkit.segments import Segment, merge_segments, segments_to_mask
@@ -287,9 +288,8 @@ class TestBindOncePerRecording:
             return stft_magnitude(b)
 
         monkeypatch.setattr(stubs, "stft_magnitude", counted)
-        result = run_rounds(
-            buf, regions, SpectralTsvad(), SpectralEmbedder(), speech, max_rounds=max_rounds
-        )
+        cfg = PipelineConfig(max_rounds=max_rounds)
+        result = run_rounds(buf, regions, SpectralTsvad(), SpectralEmbedder(), speech, cfg)
         assert result.rounds == max_rounds
         # The bind's blocks are views of the recording: over all rounds they
         # hold each of its frames once.
@@ -525,7 +525,7 @@ class TestRunRounds:
         net = IdentityRoundNet(flags)
         regions = {"s1": [Segment(0.0, 2.0)], "s0": [Segment(2.0, 4.0)]}
         result = run_rounds(
-            buf, regions, net, KeyedEmbedder(), [Segment(0.0, 4.0)], max_rounds=4
+            buf, regions, net, KeyedEmbedder(), [Segment(0.0, 4.0)], PipelineConfig(max_rounds=4)
         )
         assert result.converged
         assert result.rounds == 2
@@ -539,10 +539,20 @@ class TestRunRounds:
         net = IdentityRoundNet(flags)
         regions = {"s1": [Segment(0.0, 2.0)], "s0": [Segment(2.0, 4.0)]}
         result = run_rounds(
-            buf, regions, net, KeyedEmbedder(), [Segment(0.0, 4.0)], max_rounds=1
+            buf, regions, net, KeyedEmbedder(), [Segment(0.0, 4.0)], PipelineConfig(max_rounds=1)
         )
         assert result.rounds == 1
         assert not result.converged
+
+    def test_no_round_budget_is_rejected(self):
+        # A PipelineConfig built directly is not validated.
+        buf = AudioBuffer(np.ones(self.rate * 4), self.rate)
+        regions = {"s1": [Segment(0.0, 2.0)], "s0": [Segment(2.0, 4.0)]}
+        with pytest.raises(ParameterError, match="max_rounds"):
+            run_rounds(
+                buf, regions, IdentityRoundNet({}), KeyedEmbedder(), [Segment(0.0, 4.0)],
+                PipelineConfig(max_rounds=0),
+            )
 
     def test_deterministic(self):
         flags = {
