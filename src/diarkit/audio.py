@@ -7,9 +7,9 @@ Conventions fixed here and relied on everywhere else:
   - Mel filters use the 2595*log10(1 + f/700) scale over 0..Nyquist
   - log-Mel uses natural log with a 1e-10 power floor
   - whole-recording passes over frames work in blocks of BLOCK_FRAMES
-    frames, and resampling in chunks of RESAMPLE_CHUNK output samples, so
-    their temporaries do not grow with the recording; reading makes no
-    float64 temporary beside the result
+    frames, so their temporaries do not grow with the recording; resampling
+    computes only the samples it keeps, straight into its output, and
+    reading makes no float64 temporary beside the result
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ BLOCK_FRAMES = 2048
 # The 101-tap Hamming window gives ~53 dB stopband attenuation.
 DECIMATION_CUTOFF_HZ = 3800.0
 DECIMATION_TAPS = 101
-# Output samples per chunk of the decimation: about 8 s at 8 kHz, some 2 MB
-# of input span and convolution at a time.
-RESAMPLE_CHUNK = 1 << 16
 
 SUPPORTED_RATES = (8000, 16000)
 
@@ -125,10 +122,8 @@ def read_wav(path, max_s: float | None = None) -> AudioBuffer:
         raise UnsupportedFormatError(f"{path}: sample rate {rate}, expected 8000 or 16000")
     if stored % 2:
         raise FormatError(f"{path}: truncated file: data ends mid-sample")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    del raw
-    samples /= 32768.0
-    return AudioBuffer(samples, rate)
+    # 2**-15 is exactly 1/32768: one pass, no float64 temporary beside the result.
+    return AudioBuffer(np.multiply(np.frombuffer(raw, "<i2"), 2.0**-15, dtype=np.float64), rate)
 
 
 def write_wav(path, buf: AudioBuffer) -> None:
@@ -145,16 +140,18 @@ def write_wav(path, buf: AudioBuffer) -> None:
 
 
 def resample_to_8k(buf: AudioBuffer) -> AudioBuffer:
-    """Decimate 16 kHz audio by 2 after an anti-alias low-pass, one chunk of
-    RESAMPLE_CHUNK output samples at a time; 8 kHz audio is returned as it is.
+    """Decimate 16 kHz audio by 2 after an anti-alias low-pass, computing
+    only the samples it keeps; 8 kHz audio is returned as it is.
 
     Output sample k is sample 2k + delay of the full convolution with the
-    filter. Each chunk convolves its own input span, which holds every
-    input sample its outputs reach and runs to the recording's edge where
-    theirs does, so each output is the same dot product over the same
-    samples as in one whole-recording `np.convolve`, to the last bit. A span
-    shorter than the filter is widened to the left: `np.convolve` would
-    otherwise swap its arguments and sum in another order."""
+    filter: the dot product of the filter, reversed, with the input span
+    that ends at sample 2k + delay. Where that span holds every tap, a
+    1 x TAPS by TAPS x 1 `np.matmul` gives the same BLAS dot product that
+    `np.convolve` takes for that output, so the bytes are those of one
+    whole-recording `np.convolve`. The few outputs at each end come from
+    `np.convolve` itself, over a span of at least DECIMATION_TAPS samples
+    when the recording has that many: a shorter one would swap its
+    arguments and sum in another order."""
     if buf.sample_rate == 8000:
         return buf
     if buf.sample_rate != 16000:
@@ -166,14 +163,30 @@ def resample_to_8k(buf: AudioBuffer) -> AudioBuffer:
     h = h / h.sum()
     delay = (DECIMATION_TAPS - 1) // 2
     out = np.empty((x.size + 1) // 2)
-    for k0 in range(0, out.size, RESAMPLE_CHUNK):
-        k1 = min(k0 + RESAMPLE_CHUNK, out.size)
-        first, last = delay + 2 * k0, delay + 2 * (k1 - 1)  # indices into the full convolution
-        hi = min(x.size, last + 1)
-        lo = max(0, min(first - (DECIMATION_TAPS - 1), hi - DECIMATION_TAPS))
-        full = np.convolve(x[lo:hi], h, mode="full")
-        out[k0:k1] = full[first - lo : last - lo + 1 : 2]
+    # Outputs k0..k1-1 have all their taps inside the recording.
+    k0 = min(out.size, (DECIMATION_TAPS - delay) // 2)
+    k1 = max(k0, (x.size - 1 - delay) // 2 + 1)
+    if k1 > k0:
+        windows = np.lib.stride_tricks.sliding_window_view(x, DECIMATION_TAPS)
+        first = 2 * k0 + delay - (DECIMATION_TAPS - 1)
+        rows = windows[first : first + 2 * (k1 - k0) : 2]
+        # Contiguous, as `np.convolve` makes it: with a negative stride numpy
+        # skips BLAS and sums in another order.
+        taps = np.ascontiguousarray(h[::-1])
+        np.matmul(rows[:, None, :], taps[:, None], out=out[k0:k1, None, None])
+    for lo_k, hi_k in ((0, k0), (k1, out.size)):
+        if hi_k > lo_k:
+            out[lo_k:hi_k] = _convolved(x, h, delay + 2 * lo_k, delay + 2 * (hi_k - 1))
     return AudioBuffer(out, 8000)
+
+
+def _convolved(x: np.ndarray, h: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Every second sample, `first` to `last`, of the full convolution of
+    `x` with `h`, from `np.convolve` over the input span those samples reach,
+    widened to `h`'s length where `x` has it."""
+    lo = max(0, min(first - (h.size - 1), x.size - h.size))
+    hi = min(x.size, max(last + 1, lo + h.size))
+    return np.convolve(x[lo:hi], h)[first - lo : last - lo + 1 : 2]
 
 
 def frame_geometry(sample_rate: int) -> tuple[int, int]:

@@ -23,6 +23,7 @@ from .audio import read_wav, resample_to_8k, write_wav
 from .config import PipelineConfig, load_config, parse_file, save_config
 from .errors import ConfigError, DiarkitError, EmptyInputError, InputError, ParameterError
 from .metrics import (
+    check_collar,
     check_rttm_field,
     compute_der,
     emit_rttm,
@@ -161,6 +162,7 @@ def cmd_tsvad(args) -> int:
 
 
 def cmd_score(args) -> int:
+    check_collar(args.collar)
     ref_turns = parse_file(args.ref, parse_rttm)
     hyp_turns = parse_file(args.hyp, parse_rttm)
     uem = parse_file(args.uem, parse_uem) if args.uem else {}

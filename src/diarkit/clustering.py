@@ -42,8 +42,8 @@ def _unit_rows(x) -> np.ndarray:
     """Rows scaled to unit length: the one normalisation behind every cosine
     between embeddings. A zero row has no direction and raises."""
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm(x, axis=1)
+    if not norms.all():
         raise NumericError("cosine similarity of a zero vector")
     return x / norms[:, None]
 
@@ -173,28 +173,41 @@ def ahc(
 
     Centers are the means of member embeddings; of the pairs within 1e-12 of
     the best score the first in row-major order merges, which makes the
-    result deterministic.
+    result deterministic. The cosines stay in one matrix, and a merge
+    recomputes only the merged cluster's row and column.
     """
     if not segs:
         raise ParameterError("ahc needs at least one segment")
     embeddings = np.stack([e.embedding for e in segs])
-    members: list[list[int]] = [[i] for i in range(len(segs))]
+    n = len(segs)
+    members: list[list[int]] = [[i] for i in range(n)]
     centers = embeddings.copy()
-    while len(members) > 1:
-        rows, cols = np.triu_indices(len(members), 1)
-        sims = cosine_similarity_matrix(centers)[rows, cols]
-        best = int(np.argmax(sims >= sims.max() - 1e-12))
-        if sims[best] < stop_threshold:
+    unit = _unit_rows(centers)
+    # sims[a, b] for live clusters a < b; every other entry is -inf, so the
+    # row-major order of the live pairs is that of the clusters kept in order.
+    sims = unit @ unit.T
+    sims[np.tril_indices(n)] = -np.inf
+    alive = np.ones(n, dtype=bool)
+    for _ in range(n - 1):
+        flat = sims.ravel()
+        best = int(np.argmax(flat >= flat.max() - 1e-12))
+        if flat[best] < stop_threshold:
             break
-        i, j = rows[best], cols[best]
-        members[i] += members.pop(j)
+        i, j = divmod(best, n)
+        members[i] += members[j]
+        alive[j] = False
+        sims[j, :] = sims[:, j] = -np.inf
         centers[i] = embeddings[members[i]].mean(axis=0)
-        centers = np.delete(centers, j, axis=0)
+        unit[i] = _unit_rows(centers[i : i + 1])[0]
+        row = np.where(alive, unit @ unit[i], -np.inf)
+        sims[:i, i] = row[:i]
+        sims[i, i + 1 :] = row[i + 1 :]
     # Merging j into i < j keeps the clusters in order of their first member.
-    labels = np.empty(len(segs), dtype=int)
-    for label, items in enumerate(members):
-        labels[items] = label
-    return Clustering(labels, centers)
+    kept = np.flatnonzero(alive)
+    labels = np.empty(n, dtype=int)
+    for label, c in enumerate(kept):
+        labels[members[c]] = label
+    return Clustering(labels, centers[kept])
 
 
 def select_two_speakers(labels: np.ndarray, durations: np.ndarray) -> tuple[int, int] | None:

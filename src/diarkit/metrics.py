@@ -181,6 +181,12 @@ def _assign(weight: np.ndarray) -> list[tuple[int, int]]:
     return [(c, r) for r, c in pairs] if flip else pairs
 
 
+def check_collar(collar_s: float) -> None:
+    """Raise ParameterError unless the collar is finite and >= 0."""
+    if not (math.isfinite(collar_s) and collar_s >= 0.0):
+        raise ParameterError(f"collar must be finite and >= 0, got {collar_s}")
+
+
 def compute_der(
     ref: Diarization,
     hyp: Diarization,
@@ -194,8 +200,7 @@ def compute_der(
         raise InputError(
             f"recording mismatch: ref {ref.recording_id!r} vs hyp {hyp.recording_id!r}"
         )
-    if not (math.isfinite(collar_s) and collar_s >= 0.0):
-        raise ParameterError(f"collar must be finite and >= 0, got {collar_s}")
+    check_collar(collar_s)
     ref_lo, ref_hi = _spans([seg for seg, _ in ref.turns])
     hyp_lo, hyp_hi = _spans([seg for seg, _ in hyp.turns])
     uem_lo, uem_hi = _spans(uem or [])

@@ -59,11 +59,12 @@ class SpectralEmbedder:
                 lo, hi = spans[i]
                 first = (lo - run_lo) // hop
                 rows = mags[first : first + _n_frames(hi - lo, frame_len, hop)]
-                means[i] = rows.mean(axis=0)
+                means[i] = rows.sum(axis=0) / rows.shape[0]  # what `mean` computes
         profiles = _band_profile(means)
         # A segment without frames kept its zero row, so its profile is zero
-        # too. Row by row: the 1-D norm rounds differently from `axis=1`.
-        norms = [np.linalg.norm(profile) for profile in profiles]
+        # too. One dot product per row, as the 1-D `np.linalg.norm` takes it:
+        # `axis=1` would round differently.
+        norms = np.sqrt(np.matmul(profiles[:, None, :], profiles[:, :, None])[:, 0, 0])
         return [profile / norm if norm else None for profile, norm in zip(profiles, norms)]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .audio import AudioBuffer
 from .config import PipelineConfig
-from .errors import EmptyInputError, InsufficientSpeechError, ParameterError
+from .errors import InsufficientSpeechError, ParameterError
 from .segments import Diarization, Segment, mask_to_segments, merge_segments, segments_to_mask
 
 MIN_TARGET_SPEECH_S = 0.25
@@ -144,7 +144,8 @@ def run_rounds(
     round 1's targets are extracted; every round scores through it.
 
     A round that leaves any speaker without speech falls back to the previous
-    round's result with a warning instead of failing.
+    round's result, or round 1 to the initial regions, with a warning
+    instead of failing.
     """
     cfg = cfg or PipelineConfig()
     if cfg.max_rounds < 1:
@@ -168,11 +169,14 @@ def run_rounds(
         per = diar.per_speaker()
         empty = [s for s in speakers if not per.get(s)]
         if empty:
-            if rounds == 1:
-                raise EmptyInputError(f"round 1 produced no speech for {empty}")
+            if rounds > 1:
+                kept, source = history[-2], f"round {rounds - 1}"
+            else:
+                kept = Diarization.from_regions(recording_id, initial_regions)
+                source = "the initial regions"
             return RoundResult(
-                history[-2], rounds - 1, False,
-                warning=f"round {rounds} emptied speakers {empty}; kept round {rounds - 1}",
+                kept, rounds - 1, False,
+                warning=f"round {rounds} emptied speakers {empty}; kept {source}",
                 history=history,
             )
         if rounds > 1 and diar.turns == history[-2].turns:

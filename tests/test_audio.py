@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from diarkit.audio import (
     DECIMATION_TAPS,
-    RESAMPLE_CHUNK,
     AudioBuffer,
     log_mel,
     mean_normalize,
@@ -117,22 +116,22 @@ class TestReadWav:
         np.testing.assert_allclose(back.samples, samples, atol=1e-9)
 
 
-# Input lengths at the edges of the chunking: one sample, about the filter's
-# length, and about one chunk: 2C - 1 and 2C input samples give C outputs,
-# 2C - 3 and 2C - 2 give C - 1, and 2C + 1 and 2C + 2 give C + 1.
-C = RESAMPLE_CHUNK
-CHUNK_EDGES = [1, 2, DECIMATION_TAPS - 1, DECIMATION_TAPS, DECIMATION_TAPS + 1] + [
-    2 * C + d for d in range(-3, 3)
-]
+# Input lengths at the edges of the decimation. Up to three filter lengths,
+# the outputs at each end come from `np.convolve`, which swaps its arguments
+# for a span shorter than the filter. About 131072 = 2 * 65536, where an
+# earlier chunked form began its second chunk: 131069 and 131070 input samples
+# give 65535 outputs, 131071 and 131072 give 65536, and 131073 and 131074
+# give 65537.
+EDGE_LENGTHS = list(range(1, 3 * DECIMATION_TAPS + 1)) + list(range(131069, 131075))
 
 
 class TestResample:
     @given(
         n=st.one_of(
             st.integers(1, 3 * DECIMATION_TAPS),
-            st.sampled_from(CHUNK_EDGES),
-            st.integers(2 * C - 2 * DECIMATION_TAPS, 2 * C + 2 * DECIMATION_TAPS),
-            st.integers(1, 5 * C),
+            st.sampled_from(EDGE_LENGTHS),
+            st.integers(131072 - 2 * DECIMATION_TAPS, 131072 + 2 * DECIMATION_TAPS),
+            st.integers(1, 327680),
         ),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -143,7 +142,7 @@ class TestResample:
         assert out.sample_rate == 8000
         assert out.samples.tobytes() == resample_to_8k_oracle(buf).tobytes()
 
-    @pytest.mark.parametrize("n", CHUNK_EDGES + [0, 4 * C + 1])
+    @pytest.mark.parametrize("n", EDGE_LENGTHS + [0, 262145])
     def test_chunk_edges_match_one_convolution(self, n):
         buf = AudioBuffer(np.random.default_rng(n).normal(scale=0.3, size=n), 16000)
         assert resample_to_8k(buf).samples.tobytes() == resample_to_8k_oracle(buf).tobytes()

@@ -398,10 +398,21 @@ class TestScoreCommand:
     def test_bad_collar_is_an_error(self, tmp_path, capsys, collar):
         assert main(["score", *self._rttm_pair(tmp_path, 2), "--collar", collar]) == 2
         captured = capsys.readouterr()
-        assert "DER" not in captured.out
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and "Traceback" not in captured.err
-        assert lines[0].startswith("rec: ERROR collar must be finite and >= 0")
+        assert captured.out == ""
+        assert captured.err == (
+            f"diarkit score: error: collar must be finite and >= 0, got {float(collar)}\n"
+        )
+
+    @pytest.mark.parametrize("collar", ["-1", "nan"])
+    def test_bad_collar_stops_before_any_file_id(self, tmp_path, capsys, collar):
+        ref = self._write(tmp_path / "ref.rttm", ("a", 0, 10, "s"), ("b", 0, 10, "s"))
+        hyp = self._write(tmp_path / "hyp.rttm", ("a", 0, 5, "h"), ("b", 0, 5, "h"))
+        assert main(["score", ref, hyp, "--collar", collar]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"diarkit score: error: collar must be finite and >= 0, got {float(collar)}\n"
+        )
 
 
 class TestTsvadCommand:
@@ -489,6 +500,48 @@ class TestTsvadCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("my call\tERROR\tnot an RTTM field")
+
+    def test_round_one_emptied_speaker_keeps_the_call(self, tmp_path, capsys):
+        # At these operating points, round 1 leaves spk1 without speech; the
+        # call keeps the clustering's two speakers instead of failing.
+        assert main(
+            [
+                "synth", "--out-dir", str(tmp_path), "--speakers", "2", "--duration", "20",
+                "--overlap", "0.4", "--noise", "0.05", "--seed", "1",
+            ]
+        ) == 0
+        cfg = tmp_path / "detection.cfg"
+        cfg.write_text("tsvad_threshold=0.8\nmedian_taps=301\nmax_rounds=1\ntarget_max_s=4.0\n")
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        assert main(
+            [
+                "diarize", str(tmp_path / "synth0001.wav"), "--out-dir", str(out_dir),
+                "--mode", "task2", "--stub-embeddings", "--config", str(cfg),
+            ]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "synth0001\tok\tCTS\tspeakers=2\trounds=0"
+        entry = json.loads((out_dir / "report.jsonl").read_text())
+        assert entry["warning"] == "round 1 emptied speakers ['spk1']; kept the initial regions"
+        rttm = parse_rttm((out_dir / "synth0001.rttm").read_text())
+        assert turns_to_diarization(rttm, "synth0001").speakers() == ["spk0", "spk1"]
+        # Resumed from that RTTM, round 1 empties spk1 again: `tsvad` keeps
+        # the regions it read and says it stopped.
+        resumed = tmp_path / "resumed.rttm"
+        assert main(
+            [
+                "tsvad", "--audio", str(tmp_path / "synth0001.wav"),
+                "--rttm", str(out_dir / "synth0001.rttm"), "--vad", str(tmp_path / "synth0001.vad"),
+                "--out", str(resumed), "--stub-embeddings", "--config", str(cfg),
+            ]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"synth0001\trounds=0\tstopped\t{resumed}\n"
+        assert captured.err == (
+            "warning: round 1 emptied speakers ['spk1']; kept the initial regions\n"
+        )
+        assert resumed.read_bytes() == (out_dir / "synth0001.rttm").read_bytes()
 
     def test_early_stop_is_reported_as_stopped(self, tmp_path, capsys):
         # spk1's 0.3 s region yields 0.01 s of round-1 speech, too little for

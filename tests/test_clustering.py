@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from diarkit.clustering import (
     _canonical_labels,
+    _unit_rows,
     ahc,
     assign_with_overlap,
     build_v2s_input,
@@ -70,6 +71,22 @@ def embedding_streams(draw, max_len=60):
 
 
 @st.composite
+def tied_embedding_streams(draw, max_len=30):
+    """1..max_len embeddings with planted ties: each is one of a few
+    small-integer directions, scaled by 0.5, 1, 2 or 3. Duplicated rows,
+    scaled copies and equal similarities between different pairs are then
+    common."""
+    n = draw(st.integers(1, max_len))
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    directions = rng.integers(-2, 3, size=(draw(st.integers(1, n)), dim)).astype(float)
+    directions[~directions.any(axis=1), 0] = 1.0
+    scales = rng.choice([0.5, 1.0, 2.0, 3.0], size=(n, 1))
+    x = directions[rng.integers(len(directions), size=n)] * scales
+    return [emb_seg(i, i + 1, row) for i, row in enumerate(x)]
+
+
+@st.composite
 def cluster_labels(draw, max_clusters=8):
     """Labels of 1..max_clusters clusters, each with at least one member,
     and a duration per item; durations of a few exact binary values make
@@ -107,6 +124,32 @@ class TestCosine:
     def test_zero_vector(self):
         with pytest.raises(NumericError):
             cosine_similarity([0.0, 0.0], [1.0, 0.0])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 12),
+        dim=st.integers(1, 130),
+        exponent=st.integers(-150, 150),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unit_rows_are_the_linalg_norm_form(self, seed, rows, dim, exponent):
+        x = np.random.default_rng(seed).normal(size=(rows, dim)) * 10.0**exponent
+        want = x / np.linalg.norm(x, axis=1)[:, None]
+        assert _unit_rows(x).tobytes() == want.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 12),
+        dim=st.integers(1, 130),
+        exponent=st.integers(-150, 150),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_unit_rows_reject_a_zero_row(self, seed, rows, dim, exponent, data):
+        x = np.random.default_rng(seed).normal(size=(rows, dim)) * 10.0**exponent
+        x[data.draw(st.integers(0, rows - 1), label="zero row")] = 0.0
+        with pytest.raises(NumericError):
+            _unit_rows(x)
 
     def test_matrix_matches_pairwise(self):
         rng = np.random.default_rng(0)
@@ -293,6 +336,21 @@ class TestAhc:
         got, want = ahc(segs, stop), ahc_oracle(segs, stop)
         np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_allclose(got.centers, want.centers, rtol=0, atol=1e-12)
+
+    # Stop thresholds away from the cosines that small-integer directions
+    # reach exactly (1/2, 3/5, 4/5, ...). A pair whose cosine is exactly the
+    # threshold, such as (0, -4, -2, 4, 4, -4, -2) and (0.5, -1, 0.5, 0, 0,
+    # -0.5, -0.5) at 1/2, merges under the oracle's `a @ b / (|a| |b|)` and
+    # not under the dot product of unit vectors, which rounds it below.
+    @given(
+        segs=tied_embedding_streams(),
+        stop=st.sampled_from([-0.4321, 0.3141, 0.5437, 0.6283, 0.7993, 0.9871]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_planted_ties_match_pairwise_oracle(self, segs, stop):
+        got, want = ahc(segs, stop), ahc_oracle(segs, stop)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.centers.tobytes() == want.centers.tobytes()
 
     def test_zero_vector_raises(self):
         with pytest.raises(NumericError):

@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diarkit import stubs
-from diarkit.audio import AudioBuffer, frame_signal
+from diarkit.audio import AudioBuffer, frame_signal, read_wav, resample_to_8k, write_wav
 from diarkit.config import PipelineConfig
 from diarkit.errors import EmptyInputError, InsufficientSpeechError, ParameterError
 from diarkit.models import TsvadNet, init_tsvad_weights
-from diarkit.segments import Segment, merge_segments, segments_to_mask
+from diarkit.pipeline import TASK2, build_stub_components, cluster_two_speakers, speech_regions_for
+from diarkit.segments import Diarization, Segment, merge_segments, segments_to_mask
 from diarkit.stubs import SpectralEmbedder, SpectralTsvad, reference_speech
 from diarkit.synth import SynthSpec, gen_audio_conversation
 from diarkit.tsvad import (
@@ -512,6 +513,41 @@ class TestRunRounds:
         assert not result.converged
         assert "silent" in result.warning
         assert result.diarization.per_speaker()["s2"] == [Segment(2.0, 3.98)]
+
+    def test_round_one_that_empties_a_speaker_keeps_initial_regions(self):
+        # Round 1 gives every frame to s1, so s0 has no speech and there is
+        # no earlier round to fall back to.
+        flags = {1: np.ones(398), 0: np.zeros(398)}
+        buf = AudioBuffer(
+            np.concatenate([np.ones(self.rate * 2), np.zeros(self.rate * 2)]), self.rate
+        )
+        regions = {"s1": [Segment(0.0, 2.0)], "s0": [Segment(2.0, 4.0)]}
+        result = run_rounds(
+            buf, regions, IdentityRoundNet(flags), KeyedEmbedder(), [Segment(0.0, 4.0)],
+            recording_id="r",
+        )
+        assert (result.rounds, result.converged) == (0, False)
+        assert result.warning == "round 1 emptied speakers ['s0']; kept the initial regions"
+        assert result.diarization.turns == Diarization.from_regions("r", regions).turns
+        assert len(result.history) == 1
+
+    def test_round_one_emptied_speaker_on_a_synthetic_call(self, tmp_path):
+        # At these operating points, round 1 leaves spk1 of this call without
+        # speech; the clustering's two speakers are kept.
+        cfg = PipelineConfig(tsvad_threshold=0.8, median_taps=301, max_rounds=1, target_max_s=4.0)
+        spec = SynthSpec(duration_s=20.0, overlap_fraction=0.4, noise_sigma=0.05, seed=1)
+        write_wav(tmp_path / "call.wav", gen_audio_conversation(spec)[0])
+        buf = read_wav(tmp_path / "call.wav")
+        components = build_stub_components()
+        speech = speech_regions_for(buf, TASK2, None, components, cfg)
+        buf = resample_to_8k(buf)
+        regions = cluster_two_speakers(buf, speech, components, cfg)
+        result = run_rounds(
+            buf, regions, components.tsvad_net, components.embedder, speech, cfg, "call"
+        )
+        assert (result.rounds, result.converged) == (0, False)
+        assert result.warning == "round 1 emptied speakers ['spk1']; kept the initial regions"
+        assert result.diarization.turns == Diarization.from_regions("call", regions).turns
 
     def test_fixed_point_converges_in_two_rounds(self):
         t_frames = 398  # frames of a 4 s buffer at 8 kHz
